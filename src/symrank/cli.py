@@ -16,11 +16,11 @@ import sys
 from fractions import Fraction
 
 from . import oracles, sdit
-from .smr import pad_square
+from .smr import embed_space, pad_square
 from .smr import smr as run_smr
 from .errors import SymrankError
 from .fields import ExtensionField, FieldSpec, PrimeField, _find_irreducible, \
-    ensure_size, make_field
+    make_field
 from .linalg import Mat, Subspace
 from .po import PoInstance, _power_escapes, solve_po
 from .spaces import MatSpace
@@ -252,16 +252,12 @@ def cmd_gallery(args) -> int:
 # verification
 # ---------------------------------------------------------------------------
 
-def _lift_space(sp: MatSpace, wf_spec: FieldSpec):
-    """Rebuild the working field of a certificate and embed the instance."""
-    if sp.field.spec == wf_spec:
-        return sp, make_field(wf_spec)
-    big = make_field(wf_spec)
-    rebuilt, embed = ensure_size(sp.field, big.cardinality())
-    if rebuilt.spec != wf_spec:
+def _lift_space(sp: MatSpace, wf_spec: FieldSpec) -> MatSpace:
+    """Embed the instance into the working field a certificate names."""
+    space = embed_space(sp, wf_spec.cardinality() or 0)
+    if space.field.spec != wf_spec:
         raise ValueError("certificate working field does not match the instance")
-    gens = [Mat(big, [[embed(e) for e in r] for r in g.rows]) for g in sp.gens]
-    return MatSpace(big, sp.nrows, sp.ncols, gens), big
+    return space
 
 
 def verify_certificate(sp: MatSpace, cert: dict) -> bool:
@@ -271,7 +267,10 @@ def verify_certificate(sp: MatSpace, cert: dict) -> bool:
         if cert["status"] == "failed_po":
             return True
         work = pad_square(sp)
-        space, wf = _lift_space(work, FieldSpec.from_json(cert["working_field"]))
+        if cert["c"] != work.nrows - cert["rank"]:
+            return False
+        space = _lift_space(work, FieldSpec.from_json(cert["working_field"]))
+        wf = space.field
         coeffs = [wf.scalar_from_json(c) for c in cert["coefficients"]]
         mat = space.element(coeffs)
         if mat.rank() != cert["rank"]:

@@ -13,6 +13,7 @@ from typing import Optional
 
 from .linalg import Mat, Subspace, kernel
 from .spaces import MatSpace
+from .wong import mat_image_of
 
 
 @dataclass
@@ -34,73 +35,59 @@ def _power_escapes(d: Mat, ell: int, u: Subspace, u_prime: Subspace) -> bool:
     """Check d^ell(u) not contained in u_prime."""
     cur = u
     for _ in range(ell):
-        cur = Subspace(d.field, d.nrows, [d.apply(v) for v in cur.basis])
+        cur = mat_image_of(d, cur)
     return not u_prime.contains(cur)
 
 
 def find_ell(inst: PoInstance):
-    """Smallest j <= n with D^j(U) not inside U', plus bases of D^1..D^j.
+    """Smallest j <= n with D^j(U) not inside U', plus [I_0, ..., I_(j-1)].
 
-    Returns (None, traces) when D^n(U) stays inside U'.
+    I_0 = U and I_k = D(I_(k-1)) = D^k(U).  Returns (None, [I_0, ..., I_n])
+    when D^n(U) stays inside U'.
     """
     d, u, u_prime = inst.d, inst.u, inst.u_prime
-    n = d.nrows
     if d.is_zero():
         return None, []
-    traces = []
-    power = d
-    for j in range(1, n + 1):
-        traces.append(power)
-        if not u_prime.contains(power.image_of(u)):
-            return j, traces
-        if j < n:
-            power = power.product(d)
-    return None, traces
+    images = [u]
+    for j in range(1, d.nrows + 1):
+        nxt = d.image_of(images[-1])
+        if not u_prime.contains(nxt):
+            return j, images
+        images.append(nxt)
+    return None, images
 
 
-def helpful_subspaces(inst: PoInstance, ell: int, traces: list[MatSpace]) -> list[MatSpace]:
+def helpful_subspaces(inst: PoInstance, ell: int, images: list[Subspace]) -> list[MatSpace]:
     """The spaces H_1..H_ell of elements that only help at one position.
 
-    H_i is the solution set of the homogeneous system demanding that an
-    element of D placed at any position j != i of a length-ell product
-    still maps U into U'.
+    H_i is the set of X in D with X(I_(j-1)) inside P_(ell-j) for all j != i,
+    where I_k are find_ell's images and P_0 = U', P_k = D^-1(P_(k-1)): an
+    element at any position j != i of a length-ell product still maps U
+    into U'.  Position j contributes the rows [v . (B w) for B in D's basis]
+    for w in I_(j-1)'s basis and v in the basis of P_(ell-j)'s orthogonal.
     """
-    d, u, u_prime = inst.d, inst.u, inst.u_prime
+    d, u_prime = inst.d, inst.u_prime
     f = d.field
-    n = d.nrows
-    m = d.dim
-    ident = Mat.identity(f, n)
-    u_perp = u_prime.orthogonal()
-
-    def basis_of_power(j: int) -> list[Mat]:
-        # T_0 is the span of the identity so j = 1 and j = ell need no special case
-        return [ident] if j == 0 else traces[j - 1].gens
+    pre = [u_prime]
+    for _ in range(ell - 1):
+        pre.append(d.preimage_of(pre[-1]))
+    eqs = []
+    for j in range(1, ell + 1):
+        perp = pre[ell - j].orthogonal()
+        rows = []
+        for w in images[j - 1].basis:
+            moved = Mat(f, [g.apply(w) for g in d.gens])  # row k is B_k w
+            rows += [moved.apply(v) for v in perp.basis]
+        eqs.append(rows)
 
     spaces = []
-    for i in range(1, ell + 1):
-        eq_rows = []
-        for j in range(1, ell + 1):
-            if j == i:
-                continue
-            rights = [z.apply(vec) for z in basis_of_power(j - 1) for vec in u.basis]
-            for right in rights:
-                mids = [g.apply(right) for g in d.gens]  # one column per coordinate
-                for z in basis_of_power(ell - j):
-                    lefts = [z.apply(mid) for mid in mids]
-                    for v in u_perp.basis:
-                        row = []
-                        for left in lefts:
-                            acc = f.zero
-                            for a, b in zip(v, left):
-                                acc = f.add(acc, f.mul(a, b))
-                            row.append(acc)
-                        eq_rows.append(row)
+    for i in range(ell):
+        eq_rows = [r for j, rows in enumerate(eqs) if j != i for r in rows]
         if eq_rows:
-            sols = kernel(Mat(f, eq_rows))
-            mats = [d.element(coords) for coords in sols.basis]
+            mats = [d.element(coords) for coords in kernel(Mat(f, eq_rows)).basis]
         else:
             mats = list(d.gens)
-        spaces.append(MatSpace(f, n, n, mats))
+        spaces.append(MatSpace(f, d.nrows, d.nrows, mats))
     return spaces
 
 
@@ -112,10 +99,10 @@ def solve_po(inst: PoInstance) -> PoAnswer:
     then has the same overflow at exponent ell.
     """
     d, u, u_prime = inst.d, inst.u, inst.u_prime
-    ell, traces = find_ell(inst)
+    ell, images = find_ell(inst)
     if ell is None:
         return PoAnswer(found=False)
-    helpers = helpful_subspaces(inst, ell, traces)
+    helpers = helpful_subspaces(inst, ell, images)
     if any(h.is_zero() for h in helpers):
         return PoAnswer(found=False)
 
@@ -133,8 +120,7 @@ def solve_po(inst: PoInstance) -> PoAnswer:
         chosen = None
         for g in helpers[i - 1].gens:
             trial = suffix.matmul(g)
-            moved = Subspace(f, n, [trial.apply(v) for v in prefixes[i - 1].basis])
-            if not u_prime.contains(moved):
+            if not u_prime.contains(mat_image_of(trial, prefixes[i - 1])):
                 chosen = g
                 suffix = trial
                 break

@@ -4,8 +4,9 @@ The recursive algorithm compresses along the limit of a first Wong
 sequence: the nonsingular block it certifies is split off and the induced
 action on the quotient is handled by recursion.  Triangularizability
 itself (given a nonsingular element) reduces to nilpotency of the
-commutator ideal of the generated algebra.  Over the integers the problem
-is reduced modulo enough small primes to cover a determinant bound.
+commutator ideal, tested by iterating the ideal on subspaces of F^n.
+Over the integers the problem is reduced modulo enough small primes to
+cover a determinant bound.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional
 
 from .errors import FieldTooSmall, NotMember, NotSquare, SingularS
 from .fields import PrimeField, distinct_elements
-from .linalg import Mat, Subspace, kernel
+from .linalg import Mat, Subspace, kernel, solve
 from .spaces import MatSpace
 from .wong import first_wong, mat_preimage_of
 
@@ -28,11 +29,6 @@ class TriOutcome:
     witness: Optional[Subspace] = None
 
 
-def _span_image(mats: list[Mat], u: Subspace) -> Subspace:
-    f = mats[0].field
-    return Subspace(f, mats[0].nrows, [m.apply(v) for m in mats for v in u.basis])
-
-
 def _common_kernel(mats: list[Mat]) -> Subspace:
     stacked = Mat(mats[0].field, [r for m in mats for r in m.rows])
     return kernel(stacked)
@@ -40,7 +36,6 @@ def _common_kernel(mats: list[Mat]) -> Subspace:
 
 def _right_inverse(p: Mat) -> Mat:
     """Right inverse of a full-row-rank matrix, zeros on free coordinates."""
-    from .linalg import solve
     f = p.field
     targets = [[f.one if i == t else f.zero for i in range(p.nrows)]
                for t in range(p.nrows)]
@@ -64,7 +59,7 @@ def _tri(mats: list[Mat], n: int, field) -> TriOutcome:
     span = MatSpace.from_spanning(mats)
     limits = [first_wong(b, span).limit for b in mats]
     for u_star in limits:
-        if _span_image(mats, u_star).dim < u_star.dim:
+        if span.image_of(u_star).dim < u_star.dim:
             return TriOutcome("witness", witness=u_star)
     j = next((i for i, u in enumerate(limits) if u.dim > 0), None)
     if j is None:
@@ -75,7 +70,7 @@ def _tri(mats: list[Mat], n: int, field) -> TriOutcome:
         # nothing left to recurse on; B_j alone is nonsingular on the block
         sub = TriOutcome("nonsingular", coefficients=[field.zero] * m)
     else:
-        bu = _span_image(mats, u_star)       # same dimension as u_star here
+        bu = span.image_of(u_star)           # same dimension as u_star here
         p, _ = u_star.quotient_coords()
         q, _ = bu.quotient_coords()
         r = _right_inverse(p)
@@ -123,7 +118,8 @@ def tri_algo_list(mats: list[Mat]) -> TriOutcome:
         assert total.rank() == n, "claimed nonsingular combination is singular"
     elif out.kind == "witness":
         w = out.witness
-        assert w.dim > _span_image(mats, w).dim, "claimed witness is not strict"
+        assert w.dim > MatSpace(field, n, n, mats).image_of(w).dim, \
+            "claimed witness is not strict"
     return out
 
 
@@ -136,8 +132,10 @@ def tri_algo(sp: MatSpace) -> TriOutcome:
 def is_triangularizable_with_nonsingular(sp: MatSpace, s: Mat) -> bool:
     """Triangularizability over some extension, tested through s.
 
-    Forms the unital algebra generated by the space times s^{-1} and checks
-    that the two-sided ideal generated by its commutators is nilpotent.
+    With A the span of the space times s^{-1} and I, the commutators C of A
+    generate an ideal J, and the space is triangularizable iff J^n(F^n) = 0.
+    V <- cl(C(V)) from V = F^n gives J^k(F^n), where cl is the A-invariant
+    closure: every V is A-invariant, so cl(C(V)) = J(V).
     """
     n = sp.nrows
     if sp.nrows != sp.ncols:
@@ -150,13 +148,13 @@ def is_triangularizable_with_nonsingular(sp: MatSpace, s: Mat) -> bool:
     a_space = MatSpace.from_spanning(
         [b.matmul(s_inv) for b in sp.gens] + [Mat.identity(sp.field, n)])
     comms = a_space.commutator_space()
-    if comms.is_zero():
-        return True
-    alg = a_space.generated_algebra()
-    ideal = alg.product(comms).product(alg)
-    if ideal.is_zero():
-        return True
-    return ideal.power(n).is_zero()
+    v = Subspace.full(sp.field, n)
+    for _ in range(n):
+        v = comms.image_of(v)
+        grown = a_space.image_of(v)     # a_space holds I, so images only grow
+        while grown.dim > v.dim:
+            v, grown = grown, a_space.image_of(grown)
+    return v.dim == 0
 
 
 # ---------------------------------------------------------------------------

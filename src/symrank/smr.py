@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import EmptySpace
 from .fields import FieldSpec, distinct_elements, ensure_size
-from .linalg import Mat, Subspace
+from .linalg import Mat, Subspace, image, kernel, pseudo_inverse
 from .po import PoInstance, solve_po
 from .spaces import MatSpace
 from .wong import verify_witness, witness_test
@@ -46,6 +46,19 @@ def pad_square(sp: MatSpace) -> MatSpace:
     return MatSpace(f, n, n, padded)
 
 
+def embed_space(sp: MatSpace, size: int) -> MatSpace:
+    """The space over the deterministic field of at least `size` elements.
+
+    Returns sp itself when its field is already large enough (or infinite);
+    otherwise every generator is mapped entrywise by ensure_size's embedding.
+    """
+    big, embed = ensure_size(sp.field, size)
+    if big is sp.field:
+        return sp
+    gens = [Mat(big, [[embed(e) for e in r] for r in g.rows]) for g in sp.gens]
+    return MatSpace(big, sp.nrows, sp.ncols, gens)
+
+
 def reduce_coefficients(sp: MatSpace, coeffs: list) -> list:
     """Replace each coefficient by the first value in {0,...,n} keeping the rank.
 
@@ -71,18 +84,12 @@ def smr(sp: MatSpace, start: int = 0) -> SmrResult:
     """Maximum-rank search starting from the generator at index `start`."""
     if sp.dim == 0:
         raise EmptySpace("cannot search an empty matrix space")
-    work = pad_square(sp)
+    padded = pad_square(sp)
+    n = padded.nrows
+    work = embed_space(padded, n + 1)
     f = work.field
-    n = work.nrows
+    extended = work is not padded
     rational = f.cardinality() is None
-
-    card = f.cardinality()
-    extended = card is not None and card < n + 1
-    if extended:
-        big, embed = ensure_size(f, n + 1)
-        gens = [Mat(big, [[embed(e) for e in r] for r in g.rows]) for g in work.gens]
-        work = MatSpace(big, n, n, gens)
-        f = big
 
     m = work.dim
     coeffs = [f.one if i == start else f.zero for i in range(m)]
@@ -97,9 +104,8 @@ def smr(sp: MatSpace, start: int = 0) -> SmrResult:
             return SmrResult(status, coeffs, a, a.rank(), report.witness,
                              f.spec, ranks)
 
-        a_pi = _pinv(a)
+        a_pi = pseudo_inverse(a)
         ba = MatSpace(f, n, n, [b.matmul(a_pi) for b in work.gens])
-        from .linalg import image, kernel
         answer = solve_po(PoInstance(ba, kernel(a.matmul(a_pi)), image(a)))
         if not answer.found:
             return SmrResult("failed_po", coeffs, a, a.rank(), None, f.spec, ranks)
@@ -122,11 +128,6 @@ def smr(sp: MatSpace, start: int = 0) -> SmrResult:
             a = work.element(coeffs)
         ranks.append(a.rank())
     raise AssertionError("rank increased more than n times")  # unreachable
-
-
-def _pinv(a: Mat) -> Mat:
-    from .linalg import pseudo_inverse
-    return pseudo_inverse(a)
 
 
 def smr_best_start(sp: MatSpace) -> SmrResult:
@@ -160,14 +161,7 @@ def check_result(sp: MatSpace, res: SmrResult) -> bool:
     if res.witness is None:
         return res.status == "failed_po"
     n = work.nrows
-    space = work
-    if res.working_field != work.field.spec:
-        big = None
-        from .fields import make_field
-        big = make_field(res.working_field)
-        _, embed = ensure_size(work.field, big.cardinality() or 0)
-        gens = [Mat(big, [[embed(e) for e in r] for r in g.rows]) for g in work.gens]
-        space = MatSpace(big, n, n, gens)
+    space = embed_space(work, res.working_field.cardinality() or 0)
     return (space.element(res.coefficients) == res.matrix
             and res.matrix.rank() == res.rank
             and verify_witness(space, res.witness, n - res.rank))

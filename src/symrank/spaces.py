@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .errors import DimMismatch, IdentityMissing, NotSquare
 from .fields import Field
-from .linalg import Mat, Subspace, _rref_rows
+from .linalg import Mat, Subspace, _rref_rows, solve
 
 
 class MatSpace:
@@ -77,7 +77,6 @@ class MatSpace:
         f = self.field
         cols = [g.entry_list() for g in self.gens]
         target = m.entry_list()
-        from .linalg import solve
         a = Mat(f, cols).transpose()
         try:
             return solve(a, [target])[0]
@@ -131,16 +130,6 @@ class MatSpace:
             raise DimMismatch("inner dimensions differ")
         prods = [a.matmul(b) for a in self.gens for b in other.gens]
         return MatSpace.from_spanning(prods, self.field, self.nrows, other.ncols)
-
-    def power(self, j: int) -> "MatSpace":
-        if self.nrows != self.ncols:
-            raise NotSquare("power of a non-square space")
-        if j < 1:
-            raise ValueError("power exponent must be >= 1")
-        acc = self
-        for _ in range(j - 1):
-            acc = acc.product(self)
-        return acc
 
     def commutator_space(self) -> "MatSpace":
         """Span of [B_i, B_j] over basis pairs (bilinearity suffices)."""

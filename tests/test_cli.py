@@ -115,6 +115,30 @@ def test_verify_rejects_tampered_cert(tmp_path, capsys, diag_instance):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_rejects_c_not_tied_to_rank(tmp_path, capsys):
+    # diag(e11, e22) has maximum rank 2; an empty witness with c = 0
+    # proves nothing, so a claim of rank 1 must not pass
+    inst = write_json(tmp_path / "diag2.json", {
+        "field": {"kind": "prime", "p": 7}, "n": 2, "n_cols": 2,
+        "basis": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]})
+    cert = write_json(tmp_path / "weak.json", {
+        "algorithm": "smr", "status": "max_rank_found",
+        "coefficients": [1, 0], "rank": 1, "c": 0, "witness_basis": [],
+        "working_field": {"kind": "prime", "p": 7}})
+    assert main(["verify", inst, "--cert", cert]) == 2
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_rejects_foreign_working_field(tmp_path, capsys, diag_instance):
+    cert = str(tmp_path / "smr.json")
+    main(["smr", diag_instance, "-o", cert])
+    data = json.loads(open(cert).read())
+    data["working_field"] = {"kind": "prime", "p": 3}
+    open(cert, "w").write(json.dumps(data))
+    assert main(["verify", diag_instance, "--cert", cert]) == 1
+    assert "working field" in capsys.readouterr().err
+
+
 def test_instance_round_trip_identical(tmp_path):
     a = str(tmp_path / "a.json")
     b = str(tmp_path / "b.json")
