@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from fractions import Fraction
 
 from . import oracles, sdit
 from .smr import embed_space, pad_square
@@ -59,6 +59,21 @@ def load_instance(path: str) -> MatSpace:
             raise ValueError("basis matrix has wrong shape")
         gens.append(m)
     return MatSpace.from_spanning(gens, field, n, n_cols)
+
+
+def integer_generators(sp: MatSpace) -> list[list[list[int]]]:
+    """Each generator of a space over Q times the LCM of its denominators.
+
+    Scaling a generator keeps the span, so the integer pipeline decides the
+    same question on the same basis that `load_instance` returns.
+    """
+    if sp.field.spec.kind != "rational":
+        raise ValueError("the integer pipeline needs an instance over the rationals")
+    out = []
+    for g in sp.gens:
+        scale = math.lcm(*(e.denominator for row in g.rows for e in row))
+        out.append([[int(e * scale) for e in row] for row in g.rows])
+    return out
 
 
 def save_instance(sp: MatSpace, path: str) -> None:
@@ -124,10 +139,7 @@ def cmd_smr(args) -> int:
 
 def cmd_sdit_tri(args) -> int:
     if args.mod_p:
-        with open(args.instance) as fh:
-            data = json.load(fh)
-        int_mats = [[[int(Fraction(str(e))) for e in row] for row in mat]
-                    for mat in data["basis"]]
+        int_mats = integer_generators(load_instance(args.instance))
         report = sdit.rational_sdit(int_mats, prime_budget=args.prime_budget)
         cert = {
             "algorithm": "rational_sdit",
@@ -296,8 +308,9 @@ def verify_certificate(sp: MatSpace, cert: dict) -> bool:
         if cert["status"] != "nonsingular_combination":
             return True
         ints = [int(c) for c in cert["coefficients"]]
+        gens = integer_generators(sp)
         n = sp.nrows
-        combo = [[sum(c * int(g.rows[i][j]) for c, g in zip(ints, sp.gens))
+        combo = [[sum(c * g[i][j] for c, g in zip(ints, gens))
                   for j in range(n)] for i in range(n)]
         return sdit._int_det(combo) != 0
 

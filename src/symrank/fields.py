@@ -9,6 +9,8 @@ the field handle; matrices carry the handle and refuse to mix fields.
 from __future__ import annotations
 
 import itertools
+import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -165,6 +167,16 @@ class FieldSpec:
 # field handles
 # ---------------------------------------------------------------------------
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _json_int(v) -> int:
+    """A JSON integer scalar; floats, booleans and strings are refused."""
+    if type(v) is not int:
+        raise ValueError(f"expected an integer scalar, got {v!r}")
+    return v
+
+
 class Field:
     """Common interface of the three concrete fields."""
 
@@ -182,6 +194,26 @@ class Field:
 
     # subclasses implement: zero, one, add, sub, mul, neg, inv, is_zero,
     # from_int, elements, scalar_to_json, scalar_from_json, scalar_str
+
+    # row operations, the inner loops of elimination and matrix products;
+    # a field with cheaper arithmetic than its scalar methods overrides them
+
+    def axpy_row(self, c, x, y) -> list:
+        """y - c*x, entrywise."""
+        sub, mul = self.sub, self.mul
+        return [sub(b, mul(c, a)) for a, b in zip(x, y)]
+
+    def scale_row(self, c, x) -> list:
+        mul = self.mul
+        return [mul(c, a) for a in x]
+
+    def dot(self, x, y):
+        add, mul, is_zero = self.add, self.mul, self.is_zero
+        acc = self.zero
+        for a, b in zip(x, y):
+            if not is_zero(a) and not is_zero(b):
+                acc = add(acc, mul(a, b))
+        return acc
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.spec == other.spec
@@ -226,11 +258,24 @@ class PrimeField(Field):
     def elements(self) -> Iterator[int]:
         return iter(range(self.p))
 
+    # plain integer arithmetic, reduced once per entry or once per sum
+
+    def axpy_row(self, c, x, y) -> list:
+        p = self.p
+        return [(b - c * a) % p for a, b in zip(x, y)]
+
+    def scale_row(self, c, x) -> list:
+        p = self.p
+        return [c * a % p for a in x]
+
+    def dot(self, x, y):
+        return sum(map(operator.mul, x, y)) % self.p
+
     def scalar_to_json(self, a):
         return a % self.p
 
     def scalar_from_json(self, v):
-        return int(v) % self.p
+        return _json_int(v) % self.p
 
     def scalar_str(self, a) -> str:
         return str(a % self.p)
@@ -302,9 +347,11 @@ class ExtensionField(Field):
         return list(a)
 
     def scalar_from_json(self, v):
-        if isinstance(v, int):
-            return self.from_int(v)
-        return self._pad(tuple(int(c) % self.p for c in v))
+        if not isinstance(v, list):
+            return self.from_int(_json_int(v))
+        if len(v) > self.k:
+            raise ValueError(f"{v!r} has more than {self.k} coefficients")
+        return self._pad(tuple(_json_int(c) % self.p for c in v))
 
     def scalar_str(self, a) -> str:
         return "[" + ",".join(str(c) for c in a) + "]"
@@ -346,9 +393,13 @@ class RationalField(Field):
         return f"{a.numerator}/{a.denominator}"
 
     def scalar_from_json(self, v):
-        if isinstance(v, str):
-            return Fraction(v)
-        return Fraction(int(v))
+        if not isinstance(v, str):
+            return Fraction(_json_int(v))
+        m = _RATIONAL.fullmatch(v)
+        den = int(m[2] or 1) if m else 0
+        if den == 0:
+            raise ValueError(f"malformed rational scalar {v!r}")
+        return Fraction(int(m[1]), den)
 
     def scalar_str(self, a) -> str:
         return str(a)

@@ -86,35 +86,16 @@ class Mat:
         self.field.check(other.field)
         if self.ncols != other.nrows:
             raise DimMismatch(f"{self.ncols} vs {other.nrows}")
-        f = self.field
-        add, mul, zero = f.add, f.mul, f.zero
-        ot = other.transpose().rows
-        out = []
-        for r in self.rows:
-            row = []
-            for c in ot:
-                acc = zero
-                for a, b in zip(r, c):
-                    if not f.is_zero(a) and not f.is_zero(b):
-                        acc = add(acc, mul(a, b))
-                row.append(acc)
-            out.append(row)
-        return Mat(f, out)
+        dot = self.field.dot
+        cols = list(zip(*other.rows))
+        return Mat(self.field, [[dot(r, c) for c in cols] for r in self.rows])
 
     def apply(self, vec) -> list:
         """Matrix times a column vector (given as a flat sequence)."""
         if len(vec) != self.ncols:
             raise DimMismatch(f"{self.ncols} vs {len(vec)}")
-        f = self.field
-        add, mul, zero = f.add, f.mul, f.zero
-        out = []
-        for r in self.rows:
-            acc = zero
-            for a, b in zip(r, vec):
-                if not f.is_zero(a) and not f.is_zero(b):
-                    acc = add(acc, mul(a, b))
-            out.append(acc)
-        return out
+        dot = self.field.dot
+        return [dot(r, vec) for r in self.rows]
 
     def _check(self, other: "Mat") -> None:
         self.field.check(other.field)
@@ -125,32 +106,22 @@ class Mat:
 
     def rank(self) -> int:
         if self._rank is None:
-            self._rank = _forward_rank(self.field, [list(r) for r in self.rows])
+            self._rank = len(_eliminate(self.field, self.rows, reduced=False)[1])
         return self._rank
 
     def det(self):
         if self.nrows != self.ncols:
             raise NotSquare("determinant of a non-square matrix")
         f = self.field
-        rows = [list(r) for r in self.rows]
-        n = self.nrows
+        _, pivots, leads = _eliminate(f, self.rows, reduced=False)
+        if len(pivots) < self.nrows:
+            return f.zero
+        # the reduced rows, columns taken in pivot order, are upper triangular
         det = f.one
-        for col in range(n):
-            piv = next((i for i in range(col, n) if not f.is_zero(rows[i][col])), None)
-            if piv is None:
-                return f.zero
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                det = f.neg(det)
-            det = f.mul(det, rows[col][col])
-            inv = f.inv(rows[col][col])
-            for i in range(col + 1, n):
-                c = rows[i][col]
-                if f.is_zero(c):
-                    continue
-                factor = f.mul(c, inv)
-                rows[i] = [f.sub(a, f.mul(factor, b)) for a, b in zip(rows[i], rows[col])]
-        return det
+        for c in leads:
+            det = f.mul(det, c)
+        swaps = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
+        return f.neg(det) if swaps % 2 else det
 
     def inverse(self) -> "Mat":
         if self.nrows != self.ncols:
@@ -158,78 +129,57 @@ class Mat:
         n = self.nrows
         f = self.field
         aug = [list(r) + list(i) for r, i in zip(self.rows, Mat.identity(f, n).rows)]
-        red, rank, _ = _rref_rows(f, aug)
-        if rank < n:
+        red, pivots = _rref_rows(f, aug)
+        if len(pivots) < n or pivots[-1] >= n:
             raise ZeroDivisionError("singular matrix")
         return Mat(f, [r[n:] for r in red])
 
 
-def _forward_rank(f: Field, rows) -> int:
-    """Rank by forward elimination only (no normalization)."""
-    if not rows:
-        return 0
-    nrows, ncols = len(rows), len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, nrows) if not f.is_zero(rows[i][col])), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = f.inv(rows[rank][col])
-        prow = rows[rank]
-        for i in range(rank + 1, nrows):
-            c = rows[i][col]
-            if f.is_zero(c):
-                continue
-            factor = f.mul(c, inv)
-            ri = rows[i]
-            for j in range(col, ncols):
-                ri[j] = f.sub(ri[j], f.mul(factor, prow[j]))
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+def _eliminate(f: Field, rows, basis=(), pivots=(), reduced=True):
+    """Add rows, in order, to an echelon; the one elimination loop of the package.
 
-
-def _rref_rows(f: Field, rows):
-    """In-place RREF; returns (rows, rank, pivot_cols).
-
-    Pivot selection is first-nonzero-in-column, so the result is unique and
-    reproducible.  Entries of exact fields normalize themselves (rationals
-    stay in lowest terms), which keeps intermediate sizes bounded.
+    The echelon is basis[k] with a one at column pivots[k] and zeros at the
+    pivots of the rows before it (at every other pivot when reduced).  Each
+    row is cleared at the echelon's pivots; a nonzero remainder is scaled to
+    a leading one and appended, and, when reduced, cleared from the earlier
+    rows.  Returns (basis, pivots, leads) with new lists: leads[i] is row i's
+    leading entry before scaling, or None when row i added nothing.
     """
-    if not rows:
-        return rows, 0, []
-    nrows, ncols = len(rows), len(rows[0])
-    rank = 0
-    pivots = []
-    for col in range(ncols):
-        piv = next((i for i in range(rank, nrows) if not f.is_zero(rows[i][col])), None)
-        if piv is None:
+    basis, pivots, leads = list(basis), list(pivots), []
+    is_zero, axpy = f.is_zero, f.axpy_row
+    for v in rows:
+        for piv, row in zip(pivots, basis):
+            if not is_zero(v[piv]):
+                v = axpy(v[piv], row, v)
+        col = next((j for j, e in enumerate(v) if not is_zero(e)), None)
+        leads.append(None if col is None else v[col])
+        if col is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = f.inv(rows[rank][col])
-        rows[rank] = [f.mul(inv, e) for e in rows[rank]]
-        prow = rows[rank]
-        for i in range(nrows):
-            if i == rank:
-                continue
-            c = rows[i][col]
-            if f.is_zero(c):
-                continue
-            ri = rows[i]
-            rows[i] = [f.sub(a, f.mul(c, b)) for a, b in zip(ri, prow)]
+        v = f.scale_row(f.inv(v[col]), v)
+        if reduced:
+            basis = [row if is_zero(row[col]) else axpy(row[col], v, row)
+                     for row in basis]
+        basis.append(v)
         pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    return rows, rank, pivots
+    return basis, pivots, leads
+
+
+def _rref_rows(f: Field, rows, basis=(), pivots=()):
+    """(basis, pivots) of the RREF of rows plus an RREF echelon, sorted by pivot.
+
+    The RREF is unique, so the result does not depend on the row order.
+    """
+    basis, pivots, _ = _eliminate(f, rows, basis, pivots)
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return [basis[k] for k in order], [pivots[k] for k in order]
 
 
 def rref(m: Mat):
     """Reduced row echelon form and rank."""
-    rows, rank, _ = _rref_rows(m.field, [list(r) for r in m.rows])
-    return Mat(m.field, rows), rank
+    f = m.field
+    rows, pivots = _rref_rows(f, m.rows)
+    zeros = [[f.zero] * m.ncols for _ in range(m.nrows - len(rows))]
+    return Mat(f, rows + zeros), len(pivots)
 
 
 class Subspace:
@@ -245,13 +195,10 @@ class Subspace:
             self.pivots = [next(j for j, e in enumerate(r) if not field.is_zero(e))
                            for r in self.basis]
             return
-        mat_rows = [list(r) for r in rows]
-        for r in mat_rows:
-            if len(r) != ambient_dim:
-                raise DimMismatch("vector length vs ambient dimension")
-        red, rank, pivots = _rref_rows(field, mat_rows)
-        self.basis = red[:rank]
-        self.pivots = pivots
+        rows = list(rows)
+        if any(len(r) != ambient_dim for r in rows):
+            raise DimMismatch("vector length vs ambient dimension")
+        self.basis, self.pivots = _rref_rows(field, rows)
 
     # -- constructors -------------------------------------------------------
 
@@ -289,13 +236,8 @@ class Subspace:
     def contains_vector(self, vec) -> bool:
         if len(vec) != self.ambient_dim:
             raise DimMismatch("vector length vs ambient dimension")
-        f = self.field
-        v = list(vec)
-        for row, piv in zip(self.basis, self.pivots):
-            c = v[piv]
-            if not f.is_zero(c):
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-        return all(f.is_zero(e) for e in v)
+        leads = _eliminate(self.field, [vec], self.basis, self.pivots, reduced=False)[2]
+        return leads[0] is None
 
     def contains(self, other: "Subspace") -> bool:
         self._check(other)
@@ -310,7 +252,8 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        return Subspace(self.field, self.ambient_dim, self.basis + other.basis)
+        basis, _ = _rref_rows(self.field, other.basis, self.basis, self.pivots)
+        return Subspace(self.field, self.ambient_dim, basis, _canonical=True)
 
     def orthogonal(self) -> "Subspace":
         """Orthogonal complement for the standard bilinear form."""
@@ -345,14 +288,14 @@ class Subspace:
 def kernel(m: Mat) -> Subspace:
     """Null space of m, a subspace of F^cols."""
     f = m.field
-    rows, rank, pivots = _rref_rows(f, [list(r) for r in m.rows])
+    rows, pivots = _rref_rows(f, m.rows)
     piv_set = set(pivots)
     free = [j for j in range(m.ncols) if j not in piv_set]
     basis = []
     for j in free:
         v = [f.zero] * m.ncols
         v[j] = f.one
-        for r, p in zip(rows[:rank], pivots):
+        for r, p in zip(rows, pivots):
             v[p] = f.neg(r[j])
         basis.append(v)
     return Subspace(f, m.ncols, basis)
@@ -371,20 +314,17 @@ def solve(a: Mat, targets: list) -> list:
     """
     f = a.field
     aug = [list(r) + [t[i] for t in targets] for i, r in enumerate(a.rows)]
-    rows, rank, pivots = _rref_rows(f, aug)
+    rows, pivots = _rref_rows(f, aug)
     ncols = a.ncols
+    # a pivot in the target columns means no solution
+    if pivots and pivots[-1] >= ncols:
+        raise ValueError("inconsistent system")
     sols = []
     for t_idx in range(len(targets)):
         x = [f.zero] * ncols
-        for r, p in zip(rows[:rank], pivots):
-            if p >= ncols:
-                raise ValueError("inconsistent system")
+        for r, p in zip(rows, pivots):
             x[p] = r[ncols + t_idx]
         sols.append(x)
-    # consistency: rows with pivot beyond ncols mean no solution
-    for r, p in zip(rows[:rank], pivots):
-        if p >= ncols:
-            raise ValueError("inconsistent system")
     return sols
 
 

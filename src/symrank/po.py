@@ -23,6 +23,16 @@ class PoInstance:
     u_prime: Subspace
 
 
+class HelperSpace(MatSpace):
+    """A subspace of D that keeps each generator's coordinates in D's basis."""
+
+    __slots__ = ("coords",)
+
+    def __init__(self, d: MatSpace, gens: list[Mat], coords: list):
+        super().__init__(d.field, d.nrows, d.ncols, gens)
+        self.coords = coords
+
+
 @dataclass
 class PoAnswer:
     found: bool
@@ -57,7 +67,8 @@ def find_ell(inst: PoInstance):
     return None, images
 
 
-def helpful_subspaces(inst: PoInstance, ell: int, images: list[Subspace]) -> list[MatSpace]:
+def helpful_subspaces(inst: PoInstance, ell: int,
+                      images: list[Subspace]) -> list[HelperSpace]:
     """The spaces H_1..H_ell of elements that only help at one position.
 
     H_i is the set of X in D with X(I_(j-1)) inside P_(ell-j) for all j != i,
@@ -84,10 +95,12 @@ def helpful_subspaces(inst: PoInstance, ell: int, images: list[Subspace]) -> lis
     for i in range(ell):
         eq_rows = [r for j, rows in enumerate(eqs) if j != i for r in rows]
         if eq_rows:
-            mats = [d.element(coords) for coords in kernel(Mat(f, eq_rows)).basis]
+            coords = kernel(Mat(f, eq_rows)).basis
+            mats = [d.element(c) for c in coords]
         else:
+            coords = Mat.identity(f, d.dim).rows
             mats = list(d.gens)
-        spaces.append(MatSpace(f, d.nrows, d.nrows, mats))
+        spaces.append(HelperSpace(d, mats, coords))
     return spaces
 
 
@@ -115,23 +128,18 @@ def solve_po(inst: PoInstance) -> PoAnswer:
     f = d.field
     n = d.nrows
     suffix = Mat.identity(f, n)
-    picks = []
+    total = Mat.zeros(f, n, n)
+    coords = [f.zero] * d.dim
     for i in range(ell, 0, -1):
-        chosen = None
-        for g in helpers[i - 1].gens:
+        h = helpers[i - 1]
+        for g, c in zip(h.gens, h.coords):
             trial = suffix.matmul(g)
             if not u_prime.contains(mat_image_of(trial, prefixes[i - 1])):
-                chosen = g
-                suffix = trial
                 break
-        if chosen is None:
+        else:
             return PoAnswer(found=False)
-        picks.append(chosen)
-
-    total = Mat.zeros(f, n, n)
-    for g in picks:
+        suffix = trial
         total = total.add(g)
-    coords = d.coordinates_of(total)
-    assert coords is not None
+        coords = [f.add(x, y) for x, y in zip(coords, c)]
     assert _power_escapes(total, ell, u, u_prime), "power overflow check failed"
     return PoAnswer(found=True, d=total, ell=ell, coefficients=coords)

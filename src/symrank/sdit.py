@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import FieldTooSmall, NotMember, NotSquare, SingularS
+from .errors import EmptySpace, FieldTooSmall, NotMember, NotSquare, SingularS
 from .fields import PrimeField, distinct_elements
 from .linalg import Mat, Subspace, kernel, solve
 from .spaces import MatSpace
@@ -208,6 +208,8 @@ def rational_sdit(int_mats: list[list[list[int]]],
     nonsingular mod-p combination is accepted only after its integer
     determinant is verified nonzero exactly.
     """
+    if not int_mats:
+        raise EmptySpace("no generators to combine")
     m = len(int_mats)
     n = len(int_mats[0])
     b = max(1, max(abs(e) for mat in int_mats for row in mat for e in row))

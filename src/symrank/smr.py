@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import EmptySpace
 from .fields import FieldSpec, distinct_elements, ensure_size
-from .linalg import Mat, Subspace, image, kernel, pseudo_inverse
+from .linalg import Mat, Subspace
 from .po import PoInstance, solve_po
 from .spaces import MatSpace
 from .wong import verify_witness, witness_test
@@ -104,9 +104,7 @@ def smr(sp: MatSpace, start: int = 0) -> SmrResult:
             return SmrResult(status, coeffs, a, a.rank(), report.witness,
                              f.spec, ranks)
 
-        a_pi = pseudo_inverse(a)
-        ba = MatSpace(f, n, n, [b.matmul(a_pi) for b in work.gens])
-        answer = solve_po(PoInstance(ba, kernel(a.matmul(a_pi)), image(a)))
+        answer = solve_po(PoInstance(report.d, report.u, report.u_prime))
         if not answer.found:
             return SmrResult("failed_po", coeffs, a, a.rank(), None, f.spec, ranks)
 

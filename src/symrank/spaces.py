@@ -8,13 +8,13 @@ from __future__ import annotations
 
 from .errors import DimMismatch, IdentityMissing, NotSquare
 from .fields import Field
-from .linalg import Mat, Subspace, _rref_rows, solve
+from .linalg import Mat, Subspace, _eliminate, solve
 
 
 class MatSpace:
     """Linear span of matrices, stored as a linearly independent basis."""
 
-    __slots__ = ("field", "nrows", "ncols", "gens")
+    __slots__ = ("field", "nrows", "ncols", "gens", "_echelon")
 
     def __init__(self, field: Field, nrows: int, ncols: int, gens):
         self.field = field
@@ -25,6 +25,7 @@ class MatSpace:
             field.check(g.field)
             if g.nrows != nrows or g.ncols != ncols:
                 raise DimMismatch("generator shape mismatch")
+        self._echelon = None  # (basis, pivots) of the flattened gens, built on demand
 
     @staticmethod
     def from_spanning(mats: list[Mat], field: Field | None = None,
@@ -34,21 +35,12 @@ class MatSpace:
             raise DimMismatch("empty spanning set needs explicit dimensions")
         if mats:
             field, nrows, ncols = mats[0].field, mats[0].nrows, mats[0].ncols
-        f = field
-        chosen = []
-        echelon: list[tuple[int, list]] = []  # (pivot index, normalized row)
-        for m in mats:
-            v = m.entry_list()
-            for piv, row in echelon:
-                c = v[piv]
-                if not f.is_zero(c):
-                    v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-            piv = next((j for j, e in enumerate(v) if not f.is_zero(e)), None)
-            if piv is not None:
-                inv = f.inv(v[piv])
-                echelon.append((piv, [f.mul(inv, e) for e in v]))
-                chosen.append(m)
-        return MatSpace(f, nrows, ncols, chosen)
+        basis, pivots, leads = _eliminate(field, [m.entry_list() for m in mats],
+                                          reduced=False)
+        sp = MatSpace(field, nrows, ncols,
+                      [m for m, lead in zip(mats, leads) if lead is not None])
+        sp._echelon = basis, pivots
+        return sp
 
     # -- basics -------------------------------------------------------------
 
@@ -66,9 +58,11 @@ class MatSpace:
         """Membership of a single matrix in the span."""
         if m.nrows != self.nrows or m.ncols != self.ncols:
             raise DimMismatch("shape mismatch")
-        vecs = [g.entry_list() for g in self.gens] + [m.entry_list()]
-        _, rank, _ = _rref_rows(self.field, vecs)
-        return rank == self.dim
+        if self._echelon is None:
+            self._echelon = _eliminate(self.field, [g.entry_list() for g in self.gens],
+                                       reduced=False)[:2]
+        leads = _eliminate(self.field, [m.entry_list()], *self._echelon, reduced=False)[2]
+        return leads[0] is None
 
     def coordinates_of(self, m: Mat) -> list | None:
         """Expansion of m in the stored basis, or None if m is outside."""
@@ -87,11 +81,13 @@ class MatSpace:
         """Linear combination of the basis with the given coefficients."""
         if len(coeffs) != self.dim:
             raise DimMismatch("coefficient count vs basis size")
-        out = Mat.zeros(self.field, self.nrows, self.ncols)
-        for c, g in zip(coeffs, self.gens):
-            if not self.field.is_zero(c):
-                out = out.add(g.scale(c))
-        return out
+        f = self.field
+        used = [k for k, c in enumerate(coeffs) if not f.is_zero(c)]
+        if not used:
+            return Mat.zeros(f, self.nrows, self.ncols)
+        cs = [coeffs[k] for k in used]
+        return Mat(f, [[f.dot(cs, entries) for entries in zip(*rows)]
+                       for rows in zip(*(self.gens[k].rows for k in used))])
 
     def transpose_space(self) -> "MatSpace":
         return MatSpace(self.field, self.ncols, self.nrows,

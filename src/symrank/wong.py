@@ -72,6 +72,11 @@ class WitnessReport:
     witness: Optional[Subspace] = None
     c: int = 0
     stopped_at: Optional[int] = None
+    # the sequence ran on D = space . A' from U = ker(a A') against U' = im(a);
+    # when no witness exists, (D, U, U') is the power overflow instance
+    d: Optional[MatSpace] = None
+    u: Optional[Subspace] = None
+    u_prime: Optional[Subspace] = None
 
 
 def verify_witness(sp: MatSpace, u: Subspace, c: int) -> bool:
@@ -97,11 +102,12 @@ def witness_test(a: Mat, sp: MatSpace) -> WitnessReport:
     im_a = image(a)
     cork = n - a.rank()
 
-    w = ba.image_of(kernel(a.matmul(a_pi)))
+    start = kernel(a.matmul(a_pi))
+    w = ba.image_of(start)
     i = 1
     while True:
         if not im_a.contains(w):
-            return WitnessReport(exists=False, stopped_at=i)
+            return WitnessReport(exists=False, stopped_at=i, d=ba, u=start, u_prime=im_a)
         nxt = ba.image_of(w)
         if nxt == w:
             break

@@ -66,6 +66,68 @@ def test_sdit_mod_p_inconclusive_exit_code(tmp_path):
                  "-o", str(tmp_path / "out.json")]) == 2
 
 
+def test_sdit_mod_p_dependent_generator(tmp_path, capsys):
+    # the certificate's coefficients must refer to the basis verify loads,
+    # which drops the dependent 2*E11
+    inst = write_json(tmp_path / "dep.json", {
+        "field": {"kind": "rational"}, "n": 2, "n_cols": 2,
+        "basis": [[["1", "0"], ["0", "0"]], [["2", "0"], ["0", "0"]],
+                  [["0", "0"], ["0", "1"]]]})
+    cert = str(tmp_path / "dep_cert.json")
+    assert main(["sdit-tri", inst, "--mod-p", "-o", cert]) == 0
+    assert len(json.loads(open(cert).read())["coefficients"]) == 2
+    assert main(["verify", inst, "--cert", cert]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_sdit_mod_p_clears_denominators(tmp_path, capsys):
+    # diag(1/2, 0) and diag(0, 1/2) span a nonsingular matrix; truncating
+    # the entries to integers would leave only zeros
+    inst = write_json(tmp_path / "half.json", {
+        "field": {"kind": "rational"}, "n": 2, "n_cols": 2,
+        "basis": [[["1/2", "0"], ["0", "0"]], [["0", "0"], ["0", "1/2"]]]})
+    cert = str(tmp_path / "half_cert.json")
+    assert main(["sdit-tri", inst, "--mod-p", "-o", cert]) == 0
+    assert json.loads(open(cert).read())["status"] == "nonsingular_combination"
+    assert main(["verify", inst, "--cert", cert]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field, basis, message", [
+    ({"kind": "prime", "p": 5}, [[[1]]], "rationals"),
+    ({"kind": "rational"}, [[["0"]]], "no generators"),
+], ids=["prime-field", "only-zero-generators"])
+def test_sdit_mod_p_input_checks(tmp_path, capsys, field, basis, message):
+    inst = write_json(tmp_path / "inst.json", {
+        "field": field, "n": 1, "n_cols": 1, "basis": basis})
+    assert main(["sdit-tri", inst, "--mod-p"]) == 1
+    assert message in capsys.readouterr().err
+
+
+GF2_SQUARED = {"kind": "extension", "p": 2, "k": 2, "modulus": [1, 1, 1]}
+
+
+@pytest.mark.parametrize("field, entry", [
+    ({"kind": "rational"}, 0.5),           # used to become 0
+    ({"kind": "prime", "p": 7}, 2.9),      # used to become 2
+    ({"kind": "prime", "p": 7}, True),     # used to become 1
+    ({"kind": "rational"}, True),
+    ({"kind": "prime", "p": 7}, "3"),
+    ({"kind": "rational"}, "1/0"),
+    ({"kind": "rational"}, "0.5"),
+    ({"kind": "rational"}, "two"),
+    (GF2_SQUARED, [1, 0.5]),
+    (GF2_SQUARED, [1, 0, 1]),
+], ids=["q-float", "gfp-float", "gfp-bool", "q-bool", "gfp-string",
+        "q-zero-denominator", "q-decimal-string", "q-word",
+        "ext-float-coefficient", "ext-too-many-coefficients"])
+def test_malformed_scalar_exit_code(tmp_path, capsys, field, entry):
+    inst = write_json(tmp_path / "bad.json", {
+        "field": field, "n": 1, "n_cols": 1, "basis": [[[1]], [[entry]]]})
+    assert main(["smr", inst]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_tri_test(tmp_path, capsys):
     inst = write_json(tmp_path / "tri.json", {
         "field": {"kind": "prime", "p": 5}, "n": 2, "n_cols": 2,

@@ -1,0 +1,115 @@
+"""Property tests of the shared elimination kernel and the fields' row operations."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st
+
+from symrank import (Mat, MatSpace, PrimeField, RationalField, Subspace, kernel,
+                     pseudo_inverse, rref)
+from symrank.fields import ExtensionField, Field, _find_irreducible
+
+FIELDS = [PrimeField(2), PrimeField(7), PrimeField(101),
+          ExtensionField(2, 3, _find_irreducible(2, 3)),
+          ExtensionField(3, 2, _find_irreducible(3, 2)), RationalField()]
+FIELD_IDS = ["gf2", "gf7", "gf101", "gf2^3", "gf3^2", "q"]
+
+PROPERTY = settings(max_examples=40, deadline=None, database=None, derandomize=True)
+
+
+def scalars(f):
+    if f.spec.kind == "rational":
+        return st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    if f.spec.kind == "extension":
+        return st.tuples(*[st.integers(0, f.p - 1)] * f.k)
+    return st.integers(0, f.p - 1)
+
+
+def entries(f):
+    # zeros half the time, so rank-deficient matrices are common
+    return st.one_of(st.just(f.zero), scalars(f))
+
+
+def vectors(f, n):
+    return st.lists(entries(f), min_size=n, max_size=n)
+
+
+def matrices(f, nrows, ncols):
+    return st.lists(vectors(f, ncols), min_size=nrows, max_size=nrows).map(
+        lambda rows: Mat(f, rows))
+
+
+@st.composite
+def field_and_matrix(draw, square=False):
+    f = draw(st.sampled_from(FIELDS))
+    nrows = draw(st.integers(1, 5))
+    ncols = nrows if square else draw(st.integers(1, 5))
+    return f, draw(matrices(f, nrows, ncols))
+
+
+@PROPERTY
+@given(field_and_matrix())
+def test_rank_nullity(fm):
+    f, m = fm
+    assert m.rank() + kernel(m).dim == m.ncols
+    assert rref(m)[1] == m.rank()
+
+
+@PROPERTY
+@given(field_and_matrix())
+def test_rref_idempotent(fm):
+    f, m = fm
+    r, rank = rref(m)
+    assert rref(r) == (r, rank)
+
+
+@PROPERTY
+@given(field_and_matrix(square=True))
+def test_pseudo_inverse_reproduces(fm):
+    f, a = fm
+    a_pi = pseudo_inverse(a)
+    assert a.matmul(a_pi).matmul(a) == a
+    assert a_pi.rank() == a.nrows
+
+
+@PROPERTY
+@given(st.data())
+def test_det_multiplicative_and_zero_iff_singular(data):
+    f = data.draw(st.sampled_from(FIELDS))
+    n = data.draw(st.integers(1, 4))
+    a, b = data.draw(matrices(f, n, n)), data.draw(matrices(f, n, n))
+    assert a.matmul(b).det() == f.mul(a.det(), b.det())
+    assert f.is_zero(a.det()) == (a.rank() < n)
+
+
+@PROPERTY
+@given(st.data())
+def test_membership_agrees_with_rank_growth(data):
+    f = data.draw(st.sampled_from(FIELDS))
+    n = data.draw(st.integers(1, 5))
+    rows = data.draw(st.lists(vectors(f, n), min_size=1, max_size=4))
+    more = data.draw(st.lists(vectors(f, n), min_size=1, max_size=3))
+    v = data.draw(vectors(f, n))
+    grows = Mat(f, rows + [v]).rank() > Mat(f, rows).rank()
+    s = Subspace(f, n, rows)
+    assert s.contains_vector(v) == (not grows)
+    assert s.sum(Subspace(f, n, more)) == Subspace(f, n, rows + more)
+
+    # the same question for a matrix space, with each vector as a 1 x n matrix
+    sp = MatSpace.from_spanning([Mat(f, [r]) for r in rows])
+    assert sp.dim == s.dim
+    assert sp.contains(Mat(f, [v])) == (not grows)
+
+
+@pytest.mark.parametrize("p", [2, 7, 101, 65537])
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_prime_row_operations_match_generic(p, data):
+    f = PrimeField(p)
+    n = data.draw(st.integers(0, 8))
+    x, y = data.draw(vectors(f, n)), data.draw(vectors(f, n))
+    c = data.draw(scalars(f))
+    assert f.axpy_row(c, x, y) == Field.axpy_row(f, c, x, y)
+    assert f.scale_row(c, x) == Field.scale_row(f, c, x)
+    assert f.dot(x, y) == Field.dot(f, x, y)
