@@ -16,15 +16,15 @@ import math
 import sys
 
 from . import oracles, sdit
-from .smr import embed_space, pad_square
+from .smr import check_claim, pad_square, working_space
 from .smr import smr as run_smr
 from .errors import SymrankError
 from .fields import ExtensionField, FieldSpec, PrimeField, _find_irreducible, \
-    make_field
+    _json_int, make_field
 from .linalg import Mat, Subspace
 from .po import PoInstance, _power_escapes, solve_po
 from .spaces import MatSpace
-from .wong import first_wong, second_wong, verify_witness
+from .wong import first_wong, second_wong
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +91,12 @@ def save_instance(sp: MatSpace, path: str) -> None:
 def load_subspace(path: str, field) -> Subspace:
     with open(path) as fh:
         data = json.load(fh)
-    rows = [[field.scalar_from_json(e) for e in row] for row in data["basis"]]
-    return Subspace(field, int(data["ambient_dim"]), rows)
+    return _subspace_from_json(field, int(data["ambient_dim"]), data["basis"])
+
+
+def _subspace_from_json(field, ambient_dim: int, rows) -> Subspace:
+    return Subspace(field, ambient_dim,
+                    [[field.scalar_from_json(e) for e in row] for row in rows])
 
 
 def _subspace_json(u: Subspace):
@@ -102,6 +106,14 @@ def _subspace_json(u: Subspace):
 
 def _coeffs_json(field, coeffs):
     return [field.scalar_to_json(c) for c in coeffs]
+
+
+def _generator(sp: MatSpace, i) -> Mat:
+    """The basis matrix at index i of the loaded space."""
+    i = _json_int(i)
+    if not 0 <= i < sp.dim:
+        raise ValueError(f"generator index {i} is outside 0..{sp.dim - 1}")
+    return sp.gens[i]
 
 
 def _write_json(data, path) -> None:
@@ -174,7 +186,7 @@ def cmd_sdit_tri(args) -> int:
 
 def cmd_tri_test(args) -> int:
     sp = load_instance(args.instance)
-    pivot = sp.gens[args.pivot]
+    pivot = _generator(sp, args.pivot)
     result = sdit.is_triangularizable_with_nonsingular(sp, pivot)
     cert = {
         "algorithm": "tri_test",
@@ -188,7 +200,7 @@ def cmd_tri_test(args) -> int:
 
 def cmd_wong(args) -> int:
     sp = load_instance(args.instance)
-    anchor = sp.gens[args.anchor]
+    anchor = _generator(sp, args.anchor)
     trace = (first_wong if args.kind == "first" else second_wong)(anchor, sp)
     cert = {
         "algorithm": "wong",
@@ -264,84 +276,80 @@ def cmd_gallery(args) -> int:
 # verification
 # ---------------------------------------------------------------------------
 
-def _lift_space(sp: MatSpace, wf_spec: FieldSpec) -> MatSpace:
-    """Embed the instance into the working field a certificate names."""
-    space = embed_space(sp, wf_spec.cardinality() or 0)
-    if space.field.spec != wf_spec:
-        raise ValueError("certificate working field does not match the instance")
-    return space
+STATUSES = {"smr": ("max_rank_found", "non_constructive_rank", "failed_po"),
+            "tri_algo": ("nonsingular", "witness", "fail"),
+            "rational_sdit": ("nonsingular_combination", "inconclusive"),
+            "po": ("found", "no"),
+            "tri_test": ("triangularizable", "not_triangularizable")}
 
 
 def verify_certificate(sp: MatSpace, cert: dict) -> bool:
+    """Parse a certificate and check its claim with the solver's own checker.
+
+    A malformed certificate raises ValueError; a false claim returns False.
+    """
     algo = cert["algorithm"]
+    status = cert.get("status")
+    if algo in STATUSES and status not in STATUSES[algo]:
+        raise ValueError(f"{algo} certificate has unknown status {status!r}")
 
     if algo == "smr":
-        if cert["status"] == "failed_po":
+        if status == "failed_po":
             return True
-        work = pad_square(sp)
-        if cert["c"] != work.nrows - cert["rank"]:
+        space = working_space(sp, FieldSpec.from_json(cert["working_field"]))
+        rank = _json_int(cert["rank"])
+        if _json_int(cert["c"]) != space.nrows - rank:
             return False
-        space = _lift_space(work, FieldSpec.from_json(cert["working_field"]))
         wf = space.field
         coeffs = [wf.scalar_from_json(c) for c in cert["coefficients"]]
-        mat = space.element(coeffs)
-        if mat.rank() != cert["rank"]:
-            return False
-        witness = Subspace(wf, space.ncols,
-                           [[wf.scalar_from_json(e) for e in row]
-                            for row in cert["witness_basis"]])
-        return verify_witness(space, witness, cert["c"])
+        witness = _subspace_from_json(wf, space.ncols, cert["witness_basis"])
+        return check_claim(space, coeffs, rank, witness)
 
     if algo == "tri_algo":
         f = sp.field
-        if cert["status"] == "nonsingular":
-            coeffs = [f.scalar_from_json(c) for c in cert["coefficients"]]
-            return sp.element(coeffs).rank() == sp.nrows
-        if cert["status"] == "witness":
-            witness = Subspace(f, sp.ncols,
-                               [[f.scalar_from_json(e) for e in row]
-                                for row in cert["witness_basis"]])
-            return witness.dim - sp.image_of(witness).dim >= max(1, cert["c"])
-        return True  # fail makes no claim
+        out = sdit.TriOutcome(status)
+        if status == "nonsingular":
+            out.coefficients = [f.scalar_from_json(v) for v in cert["coefficients"]]
+        elif status == "witness":
+            out.witness = _subspace_from_json(f, sp.ncols, cert["witness_basis"])
+        return sdit.check_outcome(sp, out, _json_int(cert.get("c", 1)))
 
     if algo == "rational_sdit":
-        if cert["status"] != "nonsingular_combination":
+        if status != "nonsingular_combination":
             return True
-        ints = [int(c) for c in cert["coefficients"]]
-        gens = integer_generators(sp)
-        n = sp.nrows
-        combo = [[sum(c * g[i][j] for c, g in zip(ints, gens))
-                  for j in range(n)] for i in range(n)]
-        return sdit._int_det(combo) != 0
+        ints = [_json_int(c) for c in cert["coefficients"]]
+        return sdit.integer_nonsingular(integer_generators(sp), ints)
 
     if algo == "po":
-        f = sp.field
-        u = Subspace(f, sp.ncols, [[f.scalar_from_json(e) for e in row]
-                                   for row in cert["u_basis"]])
-        u_prime = Subspace(f, sp.ncols, [[f.scalar_from_json(e) for e in row]
-                                         for row in cert["uprime_basis"]])
-        if cert["status"] == "no":
+        if status == "no":
             return True
+        ell = _json_int(cert["ell"])
+        if ell < 0:
+            raise ValueError(f"negative exponent ell {ell}")
+        f = sp.field
+        u = _subspace_from_json(f, sp.ncols, cert["u_basis"])
+        u_prime = _subspace_from_json(f, sp.ncols, cert["uprime_basis"])
         coeffs = [f.scalar_from_json(c) for c in cert["coefficients"]]
-        return _power_escapes(sp.element(coeffs), cert["ell"], u, u_prime)
+        return _power_escapes(sp.element(coeffs), ell, u, u_prime)
 
     if algo == "wong":
-        anchor = sp.gens[cert["anchor"]]
-        trace = (first_wong if cert["kind"] == "first" else second_wong)(anchor, sp)
-        f = sp.field
+        kind = cert["kind"]
+        if kind not in ("first", "second"):
+            raise ValueError(f"unknown Wong sequence kind {kind!r}")
+        anchor = _generator(sp, cert["anchor"])
+        trace = (first_wong if kind == "first" else second_wong)(anchor, sp)
         return cert["limit"] == _subspace_json(trace.limit) and \
             cert["terms"] == [_subspace_json(t) for t in trace.terms]
 
     if algo == "oracle":
         report = oracles.oracle_report(sp)
-        return (report.max_rank == cert["max_rank"]
-                and report.disc == cert["disc"])
+        return (report.max_rank == _json_int(cert["max_rank"])
+                and report.disc == _json_int(cert["disc"]))
 
     if algo == "tri_test":
-        pivot = sp.gens[cert["pivot"]]
+        pivot = _generator(sp, cert["pivot"])
         result = sdit.is_triangularizable_with_nonsingular(sp, pivot)
-        claimed = cert["status"] == "triangularizable"
-        return result == claimed
+        return result == (status == "triangularizable")
 
     raise ValueError(f"unknown certificate algorithm {algo!r}")
 

@@ -185,15 +185,12 @@ class Field:
     def cardinality(self) -> Optional[int]:
         return self.spec.cardinality()
 
-    def is_finite(self) -> bool:
-        return self.cardinality() is not None
-
     def check(self, other: "Field") -> None:
         if self.spec != other.spec:
             raise FieldMismatch(f"{self.spec} vs {other.spec}")
 
     # subclasses implement: zero, one, add, sub, mul, neg, inv, is_zero,
-    # from_int, elements, scalar_to_json, scalar_from_json, scalar_str
+    # from_int, elements, scalar_to_json, scalar_from_json
 
     # row operations, the inner loops of elimination and matrix products;
     # a field with cheaper arithmetic than its scalar methods overrides them
@@ -277,9 +274,6 @@ class PrimeField(Field):
     def scalar_from_json(self, v):
         return _json_int(v) % self.p
 
-    def scalar_str(self, a) -> str:
-        return str(a % self.p)
-
 
 class ExtensionField(Field):
     """GF(p)[x]/(modulus); elements are coefficient tuples of length k."""
@@ -328,7 +322,7 @@ class ExtensionField(Field):
         return self._pad(_poly_trim(tuple(v * c_inv % self.p for v in s0)))
 
     def is_zero(self, a):
-        return all(x % self.p == 0 for x in a)
+        return not any(a)  # elements are reduced coefficient tuples
 
     def from_int(self, i: int):
         return self._pad((i % self.p,))
@@ -352,9 +346,6 @@ class ExtensionField(Field):
         if len(v) > self.k:
             raise ValueError(f"{v!r} has more than {self.k} coefficients")
         return self._pad(tuple(_json_int(c) % self.p for c in v))
-
-    def scalar_str(self, a) -> str:
-        return "[" + ",".join(str(c) for c in a) + "]"
 
 
 class RationalField(Field):
@@ -400,9 +391,6 @@ class RationalField(Field):
         if den == 0:
             raise ValueError(f"malformed rational scalar {v!r}")
         return Fraction(int(m[1]), den)
-
-    def scalar_str(self, a) -> str:
-        return str(a)
 
 
 def make_field(spec: FieldSpec) -> Field:

@@ -51,9 +51,6 @@ class Mat:
     def __repr__(self):
         return f"Mat({self.nrows}x{self.ncols} over {self.field.spec.kind})"
 
-    def copy(self) -> "Mat":
-        return Mat(self.field, self.rows)
-
     def entry_list(self) -> list:
         """Row-major flattening, used for independence tests on spaces."""
         return [e for r in self.rows for e in r]

@@ -12,14 +12,15 @@ cover a determinant bound.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import EmptySpace, FieldTooSmall, NotMember, NotSquare, SingularS
 from .fields import PrimeField, distinct_elements
-from .linalg import Mat, Subspace, kernel, solve
+from .linalg import Mat, Subspace, kernel
 from .spaces import MatSpace
-from .wong import first_wong, mat_preimage_of
+from .wong import first_wong, mat_preimage_of, verify_witness
 
 
 @dataclass
@@ -27,20 +28,6 @@ class TriOutcome:
     kind: str                          # nonsingular | witness | fail
     coefficients: Optional[list] = None
     witness: Optional[Subspace] = None
-
-
-def _common_kernel(mats: list[Mat]) -> Subspace:
-    stacked = Mat(mats[0].field, [r for m in mats for r in m.rows])
-    return kernel(stacked)
-
-
-def _right_inverse(p: Mat) -> Mat:
-    """Right inverse of a full-row-rank matrix, zeros on free coordinates."""
-    f = p.field
-    targets = [[f.one if i == t else f.zero for i in range(p.nrows)]
-               for t in range(p.nrows)]
-    cols = solve(p, targets)
-    return Mat(f, cols).transpose()
 
 
 def _tri(mats: list[Mat], n: int, field) -> TriOutcome:
@@ -52,7 +39,7 @@ def _tri(mats: list[Mat], n: int, field) -> TriOutcome:
                 return TriOutcome("nonsingular", coefficients=coeffs)
         return TriOutcome("witness", witness=Subspace.full(field, 1))
 
-    ck = _common_kernel(mats)
+    ck = kernel(Mat(field, [r for b in mats for r in b.rows]))  # common kernel
     if ck.dim > 0:
         return TriOutcome("witness", witness=ck)
 
@@ -73,7 +60,9 @@ def _tri(mats: list[Mat], n: int, field) -> TriOutcome:
         bu = span.image_of(u_star)           # same dimension as u_star here
         p, _ = u_star.quotient_coords()
         q, _ = bu.quotient_coords()
-        r = _right_inverse(p)
+        # right inverse of p, which is in RREF: the identity's columns at its pivots
+        unit = Mat.identity(field, n).rows
+        r = Mat(field, [unit[row.index(field.one)] for row in p.rows]).transpose()
         induced = [q.matmul(b).matmul(r) for b in mats]
         sub = _tri(induced, n - u_star.dim, field)
 
@@ -82,10 +71,7 @@ def _tri(mats: list[Mat], n: int, field) -> TriOutcome:
         if sub.kind == "fail":
             return TriOutcome("fail")
 
-    e = Mat.zeros(field, n, n)
-    for c, b in zip(sub.coefficients, mats):
-        if not field.is_zero(c):
-            e = e.add(b.scale(c))
+    e = MatSpace(field, n, n, mats).element(sub.coefficients)
     lam_set = distinct_elements(field, n + 1)
     for lam in lam_set:
         for mu in lam_set:
@@ -109,18 +95,18 @@ def tri_algo_list(mats: list[Mat]) -> TriOutcome:
     if card is not None and card < n + 1:
         raise FieldTooSmall(f"need at least {n + 1} field elements")
     out = _tri(mats, n, field)
-    # re-check the output contract before handing it out
-    if out.kind == "nonsingular":
-        total = Mat.zeros(field, n, n)
-        for c, b in zip(out.coefficients, mats):
-            if not field.is_zero(c):
-                total = total.add(b.scale(c))
-        assert total.rank() == n, "claimed nonsingular combination is singular"
-    elif out.kind == "witness":
-        w = out.witness
-        assert w.dim > MatSpace(field, n, n, mats).image_of(w).dim, \
-            "claimed witness is not strict"
+    assert check_outcome(MatSpace(field, n, n, mats), out), "outcome failed its own check"
     return out
+
+
+def check_outcome(sp: MatSpace, out: TriOutcome, c: int = 1) -> bool:
+    """The claim of a tri_algo outcome on sp: a full-rank combination of sp's
+    basis, or a witness U with dim U - dim sp(U) >= max(1, c); fail claims nothing."""
+    if out.kind == "nonsingular":
+        return sp.element(out.coefficients).rank() == sp.nrows
+    if out.kind == "witness":
+        return verify_witness(sp, out.witness, max(1, c))
+    return True
 
 
 def tri_algo(sp: MatSpace) -> TriOutcome:
@@ -199,6 +185,14 @@ def _int_det(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def integer_nonsingular(int_mats: list[list[list[int]]], ints: list[int]) -> bool:
+    """Whether sum_k ints[k] * int_mats[k] has a nonzero determinant, exactly."""
+    if not int_mats or len(ints) != len(int_mats):
+        raise ValueError("need a generator, and exactly one coefficient per generator")
+    return _int_det([[sum(map(operator.mul, ints, entries)) for entries in zip(*rows)]
+                     for rows in zip(*int_mats)]) != 0
+
+
 def rational_sdit(int_mats: list[list[list[int]]],
                   prime_budget: Optional[int] = None) -> RationalSditReport:
     """Mod-p reduction pipeline for integer generator matrices.
@@ -234,9 +228,7 @@ def rational_sdit(int_mats: list[list[list[int]]],
         if out.kind != "nonsingular":
             continue
         ints = [c % p for c in out.coefficients]
-        combo = [[sum(c * mat[i][j] for c, mat in zip(ints, int_mats))
-                  for j in range(n)] for i in range(n)]
-        if _int_det(combo) != 0:
+        if integer_nonsingular(int_mats, ints):
             return RationalSditReport("nonsingular_combination", prime_used=p,
                                       integer_coefficients=ints,
                                       primes_tried=tried, bound_used=bound)

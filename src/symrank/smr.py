@@ -153,13 +153,26 @@ def smr_rank_only(sp: MatSpace) -> int:
     return smr(sp).rank
 
 
+def working_space(sp: MatSpace, spec: FieldSpec) -> MatSpace:
+    """The padded space over the working field `spec`; ValueError if foreign."""
+    space = embed_space(pad_square(sp), spec.cardinality() or 0)
+    if space.field.spec != spec:
+        raise ValueError("certificate working field does not match the instance")
+    return space
+
+
+def check_claim(space: MatSpace, coefficients: list, rank: int,
+                witness: Subspace) -> bool:
+    """The SMR claim on a working space: the combination has rank `rank`,
+    and the witness has discrepancy at least n - rank, so no element has more."""
+    return (space.element(coefficients).rank() == rank
+            and verify_witness(space, witness, space.nrows - rank))
+
+
 def check_result(sp: MatSpace, res: SmrResult) -> bool:
     """Re-verify a certified result against the (padded) space."""
-    work = pad_square(sp)
     if res.witness is None:
         return res.status == "failed_po"
-    n = work.nrows
-    space = embed_space(work, res.working_field.cardinality() or 0)
+    space = working_space(sp, res.working_field)
     return (space.element(res.coefficients) == res.matrix
-            and res.matrix.rank() == res.rank
-            and verify_witness(space, res.witness, n - res.rank))
+            and check_claim(space, res.coefficients, res.rank, res.witness))

@@ -217,3 +217,118 @@ def test_gallery_lift(tmp_path):
                  "-o", out]) == 0
     data = json.loads(open(out).read())
     assert data["n"] == 6
+
+
+# ---------------------------------------------------------------------------
+# tampered certificates: each emitted certificate, one field changed
+# ---------------------------------------------------------------------------
+
+TAMPER_INSTANCES = {
+    "diag": ({"kind": "prime", "p": 7}, [[[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+                                         [[0, 0, 0], [0, 1, 0], [0, 0, 0]]]),
+    "upper": ({"kind": "prime", "p": 5}, [[[0, 1], [0, 0]], [[1, 0], [0, 1]]]),
+    "top_row": ({"kind": "prime", "p": 7}, [[[1, 0], [0, 0]], [[0, 1], [0, 0]]]),
+    "half": ({"kind": "rational"}, [[["1/2", "0"], ["0", "0"]],
+                                    [["0", "0"], ["0", "1/2"]]]),
+    "shift": ({"kind": "prime", "p": 7}, [[[0, 1], [0, 0]]]),
+}
+
+# command -> (instance, argv before and after the instance path); E2 stands
+# for a subspace file holding the span of the second unit vector
+E2 = "E2"
+TAMPER_COMMANDS = {
+    "smr": ("diag", ["smr"], []),
+    "sdit-tri-nonsingular": ("upper", ["sdit-tri"], []),
+    "sdit-tri-witness": ("top_row", ["sdit-tri"], []),
+    "sdit-tri-mod-p": ("half", ["sdit-tri"], ["--mod-p"]),
+    "po": ("shift", ["po"], ["--u", E2, "--uprime", E2]),
+    "wong": ("diag", ["wong"], ["--anchor", "1", "--kind", "second"]),
+    "tri-test": ("upper", ["tri-test"], ["--pivot", "1"]),
+}
+
+
+def _set(**fields):
+    return lambda cert: cert.update(fields)
+
+
+def _bump(key):
+    return lambda cert: cert.update({key: cert[key] + 1})
+
+
+def _drop_coefficient(cert):
+    cert["coefficients"].pop()
+
+
+def _tamper(command, mutate, code, name):
+    return pytest.param(command, mutate, code, id=f"{command}-{name}")
+
+
+TAMPER_CASES = [
+    *(_tamper(cmd, _set(status="bogus"), 1, "status") for cmd in (
+        "smr", "sdit-tri-nonsingular", "sdit-tri-witness", "sdit-tri-mod-p", "po")),
+    _tamper("smr", _set(rank=2.0), 1, "float-rank"),
+    _tamper("smr", _set(c=True), 1, "bool-c"),
+    _tamper("sdit-tri-witness", _set(c=True), 1, "bool-c"),
+    _tamper("po", _set(ell=True), 1, "bool-ell"),
+    _tamper("po", _set(ell=1.0), 1, "float-ell"),
+    _tamper("po", _set(ell=-1, u_basis=[[1, 0]]), 1, "negative-ell"),
+    _tamper("sdit-tri-mod-p", _set(coefficients=[1.7, 1.2]), 1, "float-coefficients"),
+    _tamper("sdit-tri-mod-p", _set(coefficients=[True, True]), 1, "bool-coefficients"),
+    _tamper("sdit-tri-mod-p", _set(coefficients=[1, 1, 5, 7]), 1, "extra-coefficients"),
+    _tamper("wong", _set(kind="bogus"), 1, "kind"),
+    _tamper("wong", _set(anchor=-1), 1, "negative-anchor"),
+    _tamper("wong", _set(anchor=5), 1, "anchor-past-end"),
+    _tamper("tri-test", _set(pivot=-1), 1, "negative-pivot"),
+    _tamper("tri-test", _set(pivot=7), 1, "pivot-past-end"),
+    # controls: verify rejected these before its fields were strict (the
+    # dropped rational coefficient with a FAIL, exit 2, then)
+    _tamper("smr", _bump("rank"), 2, "rank-plus-one"),
+    _tamper("smr", _bump("c"), 2, "c-plus-one"),
+    _tamper("smr", _drop_coefficient, 1, "dropped-coefficient"),
+    _tamper("sdit-tri-mod-p", _drop_coefficient, 1, "dropped-coefficient"),
+]
+
+
+def _emit(tmp_path, command):
+    """Run one certificate-producing command; (instance path, cert path)."""
+    name, head, tail = TAMPER_COMMANDS[command]
+    field, basis = TAMPER_INSTANCES[name]
+    n = len(basis[0])
+    inst = write_json(tmp_path / "inst.json", {
+        "field": field, "n": n, "n_cols": n, "basis": basis})
+    e2 = write_json(tmp_path / "e2.json", {"ambient_dim": 2, "basis": [[0, 1]]})
+    cert = str(tmp_path / "cert.json")
+    argv = head + [inst] + [e2 if a == E2 else a for a in tail] + ["-o", cert]
+    assert main(argv) == 0
+    return inst, cert
+
+
+@pytest.mark.parametrize("command", sorted(TAMPER_COMMANDS))
+def test_emitted_certificates_pass(tmp_path, capsys, command):
+    inst, cert = _emit(tmp_path, command)
+    assert main(["verify", inst, "--cert", cert]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, mutate, code", TAMPER_CASES)
+def test_verify_rejects_tampered_field(tmp_path, capsys, command, mutate, code):
+    inst, cert = _emit(tmp_path, command)
+    data = json.loads(open(cert).read())
+    mutate(data)
+    write_json(tmp_path / "cert.json", data)
+    assert main(["verify", inst, "--cert", cert]) == code
+    assert "PASS" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["wong", "--anchor", "5", "--kind", "first"],
+    ["wong", "--anchor", "-1", "--kind", "first"],
+    ["tri-test", "--pivot", "7"],
+    ["tri-test", "--pivot", "-1"],
+], ids=["anchor-past-end", "negative-anchor", "pivot-past-end", "negative-pivot"])
+def test_generator_index_out_of_range(tmp_path, capsys, argv):
+    field, basis = TAMPER_INSTANCES["upper"]
+    inst = write_json(tmp_path / "inst.json", {
+        "field": field, "n": 2, "n_cols": 2, "basis": basis})
+    assert main(argv[:1] + [inst] + argv[1:]) == 1
+    assert "generator index" in capsys.readouterr().err

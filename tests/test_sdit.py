@@ -10,7 +10,8 @@ from symrank import (Mat, MatSpace, PrimeField, RationalField,
                      tri_algo, verify_witness)
 from symrank.errors import FieldTooSmall, NotMember, NotSquare, SingularS
 from symrank.oracles import sk3
-from symrank.sdit import _int_det, tri_algo_list
+from symrank.sdit import (TriOutcome, _int_det, check_outcome, integer_nonsingular,
+                          tri_algo_list)
 from conftest import GF5, GF7, rand_nonsingular, upper_triangular
 
 
@@ -136,3 +137,24 @@ def test_rational_sdit_inconclusive_on_common_kernel():
     rep = rational_sdit(mats)
     assert rep.outcome == "inconclusive"
     assert rep.primes_tried
+
+
+def test_check_outcome():
+    sp = MatSpace.from_spanning([
+        Mat.from_ints(GF5, [[0, 1], [0, 0]]),
+        Mat.from_ints(GF5, [[1, 0], [0, 0]])])
+    out = tri_algo(sp)
+    assert check_outcome(sp, out) and not check_outcome(sp, out, c=2)
+    assert not check_outcome(sp, TriOutcome("nonsingular", coefficients=[1, 1]))
+    assert check_outcome(sp, TriOutcome("fail"))
+
+
+def test_integer_nonsingular():
+    mats = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
+    assert integer_nonsingular(mats, [1, 1])
+    assert not integer_nonsingular(mats, [1, 0])
+    for ints in ([1], [1, 1, 5, 7]):
+        with pytest.raises(ValueError):
+            integer_nonsingular(mats, ints)
+    with pytest.raises(ValueError):
+        integer_nonsingular([], [])

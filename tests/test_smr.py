@@ -9,7 +9,9 @@ from symrank import (Mat, MatSpace, PrimeField, RationalField, Subspace,
                      smr, smr_rank_only, verify_witness)
 from symrank.errors import EmptySpace
 from symrank.oracles import brute_max_rank
-from symrank.smr import check_result, pad_square, reduce_coefficients, smr_best_start
+from symrank.fields import FieldSpec
+from symrank.smr import (check_claim, check_result, pad_square, reduce_coefficients,
+                         smr_best_start, working_space)
 from conftest import GF2, GF5, GF7, rank_one_space
 
 
@@ -124,3 +126,18 @@ def test_smr_best_start():
         Mat.from_ints(GF7, [[0, 0], [1, 0]])])
     res = smr_best_start(sp)
     assert res.rank == 2
+
+
+def test_check_claim_and_working_space():
+    sp = MatSpace.from_spanning([
+        Mat.from_ints(GF2, [[1, 0, 0], [0, 0, 0]]),
+        Mat.from_ints(GF2, [[0, 0, 0], [0, 1, 0]])], GF2, 2, 3)
+    res = smr(sp)
+    space = working_space(sp, res.working_field)
+    assert space.field.spec == res.working_field and space.nrows == space.ncols == 3
+    assert check_claim(space, res.coefficients, 2, res.witness)
+    for wrong_rank in (1, 3):
+        assert not check_claim(space, res.coefficients, wrong_rank, res.witness)
+    assert not check_claim(space, res.coefficients, 2, Subspace.zero(space.field, 3))
+    with pytest.raises(ValueError, match="working field"):
+        working_space(sp, FieldSpec("prime", p=3))
