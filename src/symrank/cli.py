@@ -16,11 +16,11 @@ import math
 import sys
 
 from . import oracles, sdit
-from .smr import check_claim, pad_square, working_space
+from .smr import certified_status, check_claim, pad_square, working_space
 from .smr import smr as run_smr
 from .errors import SymrankError
 from .fields import ExtensionField, FieldSpec, PrimeField, _find_irreducible, \
-    _json_int, make_field
+    _json_int, _json_typed, make_field
 from .linalg import Mat, Subspace
 from .po import PoInstance, _power_escapes, solve_po
 from .spaces import MatSpace
@@ -47,14 +47,13 @@ def parse_field_name(name: str):
 
 def load_instance(path: str) -> MatSpace:
     with open(path) as fh:
-        data = json.load(fh)
+        data = _json_typed(json.load(fh), dict, "an instance")
     field = make_field(FieldSpec.from_json(data["field"]))
-    n = int(data["n"])
-    n_cols = int(data.get("n_cols", n))
+    n = _json_int(data["n"])
+    n_cols = _json_int(data.get("n_cols", n))
     gens = []
-    for mat in data["basis"]:
-        rows = [[field.scalar_from_json(e) for e in row] for row in mat]
-        m = Mat(field, rows)
+    for mat in _json_typed(data["basis"], list, "a basis"):
+        m = Mat(field, _scalar_rows(field, mat, "a basis matrix"))
         if m.nrows != n or m.ncols != n_cols:
             raise ValueError("basis matrix has wrong shape")
         gens.append(m)
@@ -90,13 +89,23 @@ def save_instance(sp: MatSpace, path: str) -> None:
 
 def load_subspace(path: str, field) -> Subspace:
     with open(path) as fh:
-        data = json.load(fh)
-    return _subspace_from_json(field, int(data["ambient_dim"]), data["basis"])
+        data = _json_typed(json.load(fh), dict, "a subspace")
+    return _subspace_from_json(field, _json_int(data["ambient_dim"]), data["basis"])
+
+
+def _scalar_rows(field, rows, what: str) -> list[list]:
+    """A JSON array of arrays of scalars, parsed over field."""
+    return [[field.scalar_from_json(e) for e in _json_typed(row, list, what)]
+            for row in _json_typed(rows, list, what)]
 
 
 def _subspace_from_json(field, ambient_dim: int, rows) -> Subspace:
-    return Subspace(field, ambient_dim,
-                    [[field.scalar_from_json(e) for e in row] for row in rows])
+    return Subspace(field, ambient_dim, _scalar_rows(field, rows, "a subspace basis"))
+
+
+def _coefficients(parse, cert) -> list:
+    """The certificate's coefficient array, each entry parsed by `parse`."""
+    return [parse(c) for c in _json_typed(cert["coefficients"], list, "coefficients")]
 
 
 def _subspace_json(u: Subspace):
@@ -288,7 +297,8 @@ def verify_certificate(sp: MatSpace, cert: dict) -> bool:
 
     A malformed certificate raises ValueError; a false claim returns False.
     """
-    algo = cert["algorithm"]
+    cert = _json_typed(cert, dict, "a certificate")
+    algo = _json_typed(cert["algorithm"], str, "algorithm")
     status = cert.get("status")
     if algo in STATUSES and status not in STATUSES[algo]:
         raise ValueError(f"{algo} certificate has unknown status {status!r}")
@@ -300,8 +310,10 @@ def verify_certificate(sp: MatSpace, cert: dict) -> bool:
         rank = _json_int(cert["rank"])
         if _json_int(cert["c"]) != space.nrows - rank:
             return False
+        if status != certified_status(sp.field, space.field):
+            return False
         wf = space.field
-        coeffs = [wf.scalar_from_json(c) for c in cert["coefficients"]]
+        coeffs = _coefficients(wf.scalar_from_json, cert)
         witness = _subspace_from_json(wf, space.ncols, cert["witness_basis"])
         return check_claim(space, coeffs, rank, witness)
 
@@ -309,7 +321,7 @@ def verify_certificate(sp: MatSpace, cert: dict) -> bool:
         f = sp.field
         out = sdit.TriOutcome(status)
         if status == "nonsingular":
-            out.coefficients = [f.scalar_from_json(v) for v in cert["coefficients"]]
+            out.coefficients = _coefficients(f.scalar_from_json, cert)
         elif status == "witness":
             out.witness = _subspace_from_json(f, sp.ncols, cert["witness_basis"])
         return sdit.check_outcome(sp, out, _json_int(cert.get("c", 1)))
@@ -317,7 +329,7 @@ def verify_certificate(sp: MatSpace, cert: dict) -> bool:
     if algo == "rational_sdit":
         if status != "nonsingular_combination":
             return True
-        ints = [_json_int(c) for c in cert["coefficients"]]
+        ints = _coefficients(_json_int, cert)
         return sdit.integer_nonsingular(integer_generators(sp), ints)
 
     if algo == "po":
@@ -329,7 +341,7 @@ def verify_certificate(sp: MatSpace, cert: dict) -> bool:
         f = sp.field
         u = _subspace_from_json(f, sp.ncols, cert["u_basis"])
         u_prime = _subspace_from_json(f, sp.ncols, cert["uprime_basis"])
-        coeffs = [f.scalar_from_json(c) for c in cert["coefficients"]]
+        coeffs = _coefficients(f.scalar_from_json, cert)
         return _power_escapes(sp.element(coeffs), ell, u, u_prime)
 
     if algo == "wong":

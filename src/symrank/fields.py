@@ -133,8 +133,8 @@ class FieldSpec:
             raise NonPrimeModulus(f"{self.p} is not prime")
         if self.kind == "extension":
             m = self.modulus
-            if m is None or len(m) != self.k + 1 or m[-1] % self.p != 1:
-                raise ReducibleModulus("modulus must be monic of degree k")
+            if m is None or self.k < 1 or len(m) != self.k + 1 or m[-1] % self.p != 1:
+                raise ReducibleModulus("modulus must be monic of degree k >= 1")
             object.__setattr__(self, "modulus", tuple(c % self.p for c in m))
             if not _poly_irreducible(self.modulus, self.p):
                 raise ReducibleModulus(f"modulus {self.modulus} reducible over GF({self.p})")
@@ -153,14 +153,15 @@ class FieldSpec:
         return {"kind": "extension", "p": self.p, "k": self.k, "modulus": list(self.modulus)}
 
     @staticmethod
-    def from_json(d: dict) -> "FieldSpec":
-        kind = d["kind"]
-        if kind == "rational":
-            return FieldSpec("rational")
+    def from_json(d) -> "FieldSpec":
+        kind = _json_typed(d, dict, "a field")["kind"]
         if kind == "prime":
-            return FieldSpec("prime", p=int(d["p"]))
-        return FieldSpec("extension", p=int(d["p"]), k=int(d["k"]),
-                         modulus=tuple(int(c) for c in d["modulus"]))
+            return FieldSpec(kind, p=_json_int(d["p"]))
+        if kind == "extension":
+            modulus = _json_typed(d["modulus"], list, "a modulus")
+            return FieldSpec(kind, p=_json_int(d["p"]), k=_json_int(d["k"]),
+                             modulus=tuple(map(_json_int, modulus)))
+        return FieldSpec(kind)  # the rationals; __post_init__ refuses other kinds
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +175,16 @@ def _json_int(v) -> int:
     """A JSON integer scalar; floats, booleans and strings are refused."""
     if type(v) is not int:
         raise ValueError(f"expected an integer scalar, got {v!r}")
+    return v
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _json_typed(v, kind: type, what: str):
+    """v if it is a JSON value of Python type `kind` (dict, list or str)."""
+    if type(v) is not kind:
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]} in JSON, got {v!r}")
     return v
 
 

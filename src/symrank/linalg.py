@@ -274,13 +274,6 @@ class Subspace:
                 rows.append(row)
         return Subspace(f, self.ambient_dim, rows, _canonical=True)
 
-    def quotient_coords(self):
-        """Surjective map F^n -> F^(n-dim) whose kernel is exactly this space."""
-        comp = self.orthogonal()
-        proj = Mat(self.field, comp.basis) if comp.basis else Mat.zeros(
-            self.field, 0, self.ambient_dim)
-        return proj, self.ambient_dim - self.dim
-
 
 def kernel(m: Mat) -> Subspace:
     """Null space of m, a subspace of F^cols."""

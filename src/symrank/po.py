@@ -13,7 +13,6 @@ from typing import Optional
 
 from .linalg import Mat, Subspace, kernel
 from .spaces import MatSpace
-from .wong import mat_image_of
 
 
 @dataclass
@@ -43,10 +42,10 @@ class PoAnswer:
 
 def _power_escapes(d: Mat, ell: int, u: Subspace, u_prime: Subspace) -> bool:
     """Check d^ell(u) not contained in u_prime."""
-    cur = u
+    d_sp = MatSpace.of(d)
     for _ in range(ell):
-        cur = mat_image_of(d, cur)
-    return not u_prime.contains(cur)
+        u = d_sp.image_of(u)
+    return not u_prime.contains(u)
 
 
 def find_ell(inst: PoInstance):
@@ -134,7 +133,7 @@ def solve_po(inst: PoInstance) -> PoAnswer:
         h = helpers[i - 1]
         for g, c in zip(h.gens, h.coords):
             trial = suffix.matmul(g)
-            if not u_prime.contains(mat_image_of(trial, prefixes[i - 1])):
+            if not u_prime.contains(MatSpace.of(trial).image_of(prefixes[i - 1])):
                 break
         else:
             return PoAnswer(found=False)

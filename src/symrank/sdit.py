@@ -19,8 +19,8 @@ from typing import Optional
 from .errors import EmptySpace, FieldTooSmall, NotMember, NotSquare, SingularS
 from .fields import PrimeField, distinct_elements
 from .linalg import Mat, Subspace, kernel
-from .spaces import MatSpace
-from .wong import first_wong, mat_preimage_of, verify_witness
+from .spaces import MatSpace, run_to_fixpoint
+from .wong import first_wong, verify_witness
 
 
 @dataclass
@@ -58,8 +58,9 @@ def _tri(mats: list[Mat], n: int, field) -> TriOutcome:
         sub = TriOutcome("nonsingular", coefficients=[field.zero] * m)
     else:
         bu = span.image_of(u_star)           # same dimension as u_star here
-        p, _ = u_star.quotient_coords()
-        q, _ = bu.quotient_coords()
+        # quotient maps F^n -> F^n/U*: their kernels are U* and B(U*)
+        p = u_star.orthogonal().basis_matrix()
+        q = bu.orthogonal().basis_matrix()
         # right inverse of p, which is in RREF: the identity's columns at its pivots
         unit = Mat.identity(field, n).rows
         r = Mat(field, [unit[row.index(field.one)] for row in p.rows]).transpose()
@@ -67,7 +68,7 @@ def _tri(mats: list[Mat], n: int, field) -> TriOutcome:
         sub = _tri(induced, n - u_star.dim, field)
 
         if sub.kind == "witness":
-            return TriOutcome("witness", witness=mat_preimage_of(p, sub.witness))
+            return TriOutcome("witness", witness=MatSpace.of(p).preimage_of(sub.witness))
         if sub.kind == "fail":
             return TriOutcome("fail")
 
@@ -136,10 +137,7 @@ def is_triangularizable_with_nonsingular(sp: MatSpace, s: Mat) -> bool:
     comms = a_space.commutator_space()
     v = Subspace.full(sp.field, n)
     for _ in range(n):
-        v = comms.image_of(v)
-        grown = a_space.image_of(v)     # a_space holds I, so images only grow
-        while grown.dim > v.dim:
-            v, grown = grown, a_space.image_of(grown)
+        v = run_to_fixpoint(a_space.image_of, comms.image_of(v))[-1]
     return v.dim == 0
 
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .errors import EmptySpace
-from .fields import FieldSpec, distinct_elements, ensure_size
+from .fields import Field, FieldSpec, distinct_elements, ensure_size
 from .linalg import Mat, Subspace
-from .po import PoInstance, solve_po
+from .po import solve_po
 from .spaces import MatSpace
 from .wong import verify_witness, witness_test
 
@@ -88,7 +88,6 @@ def smr(sp: MatSpace, start: int = 0) -> SmrResult:
     n = padded.nrows
     work = embed_space(padded, n + 1)
     f = work.field
-    extended = work is not padded
     rational = f.cardinality() is None
 
     m = work.dim
@@ -100,11 +99,10 @@ def smr(sp: MatSpace, start: int = 0) -> SmrResult:
     for _ in range(n + 1):
         report = witness_test(a, work)
         if report.exists:
-            status = "non_constructive_rank" if extended else "max_rank_found"
-            return SmrResult(status, coeffs, a, a.rank(), report.witness,
-                             f.spec, ranks)
+            return SmrResult(certified_status(sp.field, f), coeffs, a, a.rank(),
+                             report.witness, f.spec, ranks)
 
-        answer = solve_po(PoInstance(report.d, report.u, report.u_prime))
+        answer = solve_po(report.po)
         if not answer.found:
             return SmrResult("failed_po", coeffs, a, a.rank(), None, f.spec, ranks)
 
@@ -161,6 +159,13 @@ def working_space(sp: MatSpace, spec: FieldSpec) -> MatSpace:
     return space
 
 
+def certified_status(base: Field, working: Field) -> str:
+    """The status of a certified rank: a combination over an extension of the
+    base field proves the rank over the base field but is not an element of
+    the space, so only one over the base field itself is constructive."""
+    return "max_rank_found" if working.spec == base.spec else "non_constructive_rank"
+
+
 def check_claim(space: MatSpace, coefficients: list, rank: int,
                 witness: Subspace) -> bool:
     """The SMR claim on a working space: the combination has rank `rank`,
@@ -174,5 +179,6 @@ def check_result(sp: MatSpace, res: SmrResult) -> bool:
     if res.witness is None:
         return res.status == "failed_po"
     space = working_space(sp, res.working_field)
-    return (space.element(res.coefficients) == res.matrix
+    return (res.status == certified_status(sp.field, space.field)
+            and space.element(res.coefficients) == res.matrix
             and check_claim(space, res.coefficients, res.rank, res.witness))

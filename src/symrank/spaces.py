@@ -42,6 +42,11 @@ class MatSpace:
         sp._echelon = basis, pivots
         return sp
 
+    @staticmethod
+    def of(a: Mat) -> "MatSpace":
+        """The one-generator space of a single matrix, unpruned: a may be zero."""
+        return MatSpace(a.field, a.nrows, a.ncols, [a])
+
     # -- basics -------------------------------------------------------------
 
     @property
@@ -152,3 +157,14 @@ class MatSpace:
             if grown.dim == d.dim:
                 return d
             d = grown
+
+
+def run_to_fixpoint(step, start: Subspace) -> list[Subspace]:
+    """[start, step(start), step(step(start)), ...] up to the first term t
+    with step(t) == t, which is the last entry."""
+    terms = [start]
+    while True:
+        nxt = step(terms[-1])
+        if nxt == terms[-1]:
+            return terms
+        terms.append(nxt)

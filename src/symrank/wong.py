@@ -14,21 +14,8 @@ from typing import Optional
 
 from .errors import DimMismatch, NotMember, NotSquare
 from .linalg import Mat, Subspace, image, kernel, pseudo_inverse
-from .spaces import MatSpace
-
-
-def mat_image_of(a: Mat, u: Subspace) -> Subspace:
-    """Image of a subspace under a single matrix."""
-    if u.ambient_dim != a.ncols:
-        raise DimMismatch("subspace vs matrix domain")
-    return Subspace(a.field, a.nrows, [a.apply(v) for v in u.basis])
-
-
-def mat_preimage_of(a: Mat, w: Subspace) -> Subspace:
-    """Full preimage of a subspace under a single matrix, via duality."""
-    if w.ambient_dim != a.nrows:
-        raise DimMismatch("subspace vs matrix codomain")
-    return mat_image_of(a.transpose(), w.orthogonal()).orthogonal()
+from .po import PoInstance
+from .spaces import MatSpace, run_to_fixpoint
 
 
 @dataclass
@@ -42,28 +29,20 @@ def first_wong(a: Mat, sp: MatSpace) -> WongTrace:
     """U_0 = V, U_{i+1} = space^{-1}(a(U_i)); stabilizes within n steps."""
     if a.nrows != sp.nrows or a.ncols != sp.ncols:
         raise DimMismatch("anchor matrix vs space dimensions")
-    u = Subspace.full(a.field, a.ncols)
-    terms = [u]
-    while True:
-        nxt = sp.preimage_of(mat_image_of(a, u))
-        if nxt == u:
-            return WongTrace("first", terms, u)
-        terms.append(nxt)
-        u = nxt
+    a_sp = MatSpace.of(a)
+    terms = run_to_fixpoint(lambda u: sp.preimage_of(a_sp.image_of(u)),
+                            Subspace.full(a.field, a.ncols))
+    return WongTrace("first", terms, terms[-1])
 
 
 def second_wong(a: Mat, sp: MatSpace) -> WongTrace:
     """W_0 = 0, W_{i+1} = space(a^{-1}(W_i)); stabilizes within n' steps."""
     if a.nrows != sp.nrows or a.ncols != sp.ncols:
         raise DimMismatch("anchor matrix vs space dimensions")
-    w = Subspace.zero(a.field, a.nrows)
-    terms = [w]
-    while True:
-        nxt = sp.image_of(mat_preimage_of(a, w))
-        if nxt == w:
-            return WongTrace("second", terms, w)
-        terms.append(nxt)
-        w = nxt
+    a_sp = MatSpace.of(a)
+    terms = run_to_fixpoint(lambda w: sp.image_of(a_sp.preimage_of(w)),
+                            Subspace.zero(a.field, a.nrows))
+    return WongTrace("second", terms, terms[-1])
 
 
 @dataclass
@@ -72,11 +51,9 @@ class WitnessReport:
     witness: Optional[Subspace] = None
     c: int = 0
     stopped_at: Optional[int] = None
-    # the sequence ran on D = space . A' from U = ker(a A') against U' = im(a);
-    # when no witness exists, (D, U, U') is the power overflow instance
-    d: Optional[MatSpace] = None
-    u: Optional[Subspace] = None
-    u_prime: Optional[Subspace] = None
+    # when no witness exists, the sequence ran on D = space . A' from
+    # U = ker(a A') out of U' = im(a): the power overflow instance (D, U, U')
+    po: Optional[PoInstance] = None
 
 
 def verify_witness(sp: MatSpace, u: Subspace, c: int) -> bool:
@@ -107,13 +84,13 @@ def witness_test(a: Mat, sp: MatSpace) -> WitnessReport:
     i = 1
     while True:
         if not im_a.contains(w):
-            return WitnessReport(exists=False, stopped_at=i, d=ba, u=start, u_prime=im_a)
+            return WitnessReport(exists=False, stopped_at=i, po=PoInstance(ba, start, im_a))
         nxt = ba.image_of(w)
         if nxt == w:
             break
         w = nxt
         i += 1
-    witness = mat_image_of(a_pi, w).sum(kernel(a))
+    witness = MatSpace.of(a_pi).image_of(w).sum(kernel(a))
     report = WitnessReport(exists=True, witness=witness, c=cork)
     assert verify_witness(sp, witness, cork), "witness failed its own check"
     return report

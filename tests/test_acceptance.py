@@ -17,7 +17,6 @@ from symrank.cli import main
 from symrank.oracles import (brute_disc, brute_max_rank, sk3,
                              strict_upper_embed)
 from symrank.po import _power_escapes
-from symrank.wong import mat_image_of, mat_preimage_of
 from conftest import (GF2, GF5, GF7, rand_matrix, rand_nonsingular,
                       rand_subspace, rank_one_space, upper_triangular)
 
@@ -309,13 +308,13 @@ def test_criterion_10_wong_structural_suite():
 
         # limits are the extreme fixed subspaces of their update maps
         u_star, w_star = first.limit, second.limit
-        ok = ok and mat_image_of(a, u_star).contains(sp.image_of(u_star))
-        ok = ok and w_star.contains(sp.image_of(mat_preimage_of(a, w_star)))
+        ok = ok and MatSpace.of(a).image_of(u_star).contains(sp.image_of(u_star))
+        ok = ok and w_star.contains(sp.image_of(MatSpace.of(a).preimage_of(w_star)))
         for _ in range(200):
             c = rand_subspace(rng, f, n)
-            if mat_image_of(a, c).contains(sp.image_of(c)):
+            if MatSpace.of(a).image_of(c).contains(sp.image_of(c)):
                 ok = ok and u_star.contains(c)
-            if c.contains(sp.image_of(mat_preimage_of(a, c))):
+            if c.contains(sp.image_of(MatSpace.of(a).preimage_of(c))):
                 ok = ok and c.contains(w_star)
 
         # duality against the transpose space

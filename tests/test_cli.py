@@ -164,7 +164,14 @@ def test_malformed_input_exit_code(tmp_path, capsys):
         "field": {"kind": "prime", "p": 5}, "n": 2, "n_cols": 2,
         "basis": [[[1, 0, 0], [0, 0, 0]]]})
     assert main(["smr", shaped]) == 1
-    capsys.readouterr()
+    # wrong JSON types where an object, an array or an integer belongs
+    for key, value in (("basis", 5), ("basis", [5]), ("field", "gf7"), ("n", 1.5),
+                       ("field", {"kind": "extension", "p": 2, "k": -1, "modulus": []})):
+        data = {"field": {"kind": "prime", "p": 5}, "n": 1, "n_cols": 1,
+                "basis": [[[1]]], key: value}
+        assert main(["smr", write_json(tmp_path / "typed.json", data)]) == 1
+    assert main(["smr", write_json(tmp_path / "list.json", [1])]) == 1
+    assert capsys.readouterr().err.count("error:") == 9
 
 
 def test_verify_rejects_tampered_cert(tmp_path, capsys, diag_instance):
@@ -231,6 +238,7 @@ TAMPER_INSTANCES = {
     "half": ({"kind": "rational"}, [[["1/2", "0"], ["0", "0"]],
                                     [["0", "0"], ["0", "1/2"]]]),
     "shift": ({"kind": "prime", "p": 7}, [[[0, 1], [0, 0]]]),
+    "gf2_diag": ({"kind": "prime", "p": 2}, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]),
 }
 
 # command -> (instance, argv before and after the instance path); E2 stands
@@ -238,6 +246,7 @@ TAMPER_INSTANCES = {
 E2 = "E2"
 TAMPER_COMMANDS = {
     "smr": ("diag", ["smr"], []),
+    "smr-extended": ("gf2_diag", ["smr"], []),   # working field GF(4)
     "sdit-tri-nonsingular": ("upper", ["sdit-tri"], []),
     "sdit-tri-witness": ("top_row", ["sdit-tri"], []),
     "sdit-tri-mod-p": ("half", ["sdit-tri"], ["--mod-p"]),
@@ -257,6 +266,11 @@ def _bump(key):
 
 def _drop_coefficient(cert):
     cert["coefficients"].pop()
+
+
+def _whole(value):
+    """Replace the whole certificate by value."""
+    return lambda cert: value
 
 
 def _tamper(command, mutate, code, name):
@@ -280,6 +294,17 @@ TAMPER_CASES = [
     _tamper("wong", _set(anchor=5), 1, "anchor-past-end"),
     _tamper("tri-test", _set(pivot=-1), 1, "negative-pivot"),
     _tamper("tri-test", _set(pivot=7), 1, "pivot-past-end"),
+    # wrong JSON types: error and exit 1, not a traceback
+    *(_tamper(cmd, _set(coefficients=5), 1, "number-coefficients") for cmd in (
+        "smr", "sdit-tri-nonsingular", "sdit-tri-mod-p")),
+    _tamper("smr", _set(working_field="gf7"), 1, "string-working-field"),
+    _tamper("smr", _set(witness_basis=5), 1, "number-witness"),
+    _tamper("smr", _set(algorithm=["smr"]), 1, "list-algorithm"),
+    _tamper("po", _whole(["po"]), 1, "list-certificate"),
+    # the status must match the working field: max_rank_found claims a
+    # maximizer over the instance's own field, which a GF(4) one is not
+    _tamper("smr-extended", _set(status="max_rank_found"), 2, "constructive-status"),
+    _tamper("smr", _set(status="non_constructive_rank"), 2, "non-constructive-status"),
     # controls: verify rejected these before its fields were strict (the
     # dropped rational coefficient with a FAIL, exit 2, then)
     _tamper("smr", _bump("rank"), 2, "rank-plus-one"),
@@ -314,8 +339,8 @@ def test_emitted_certificates_pass(tmp_path, capsys, command):
 def test_verify_rejects_tampered_field(tmp_path, capsys, command, mutate, code):
     inst, cert = _emit(tmp_path, command)
     data = json.loads(open(cert).read())
-    mutate(data)
-    write_json(tmp_path / "cert.json", data)
+    replaced = mutate(data)
+    write_json(tmp_path / "cert.json", data if replaced is None else replaced)
     assert main(["verify", inst, "--cert", cert]) == code
     assert "PASS" not in capsys.readouterr().out
 

@@ -1,4 +1,5 @@
-"""Property tests of the shared elimination kernel and the fields' row operations."""
+"""Property tests of the shared elimination kernel, the fields' row operations
+and the subspace actions behind the Wong sequences."""
 
 import pytest
 
@@ -6,14 +7,15 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from symrank import (Mat, MatSpace, PrimeField, RationalField, Subspace, kernel,
-                     pseudo_inverse, rref)
+from symrank import (Mat, MatSpace, PrimeField, RationalField, Subspace,
+                     first_wong, image, kernel, pseudo_inverse, rref, second_wong)
 from symrank.fields import ExtensionField, Field, _find_irreducible
 
 FIELDS = [PrimeField(2), PrimeField(7), PrimeField(101),
           ExtensionField(2, 3, _find_irreducible(2, 3)),
           ExtensionField(3, 2, _find_irreducible(3, 2)), RationalField()]
 FIELD_IDS = ["gf2", "gf7", "gf101", "gf2^3", "gf3^2", "q"]
+WONG_FIELDS = [FIELDS[FIELD_IDS.index(name)] for name in ("gf7", "gf2^3", "gf3^2", "q")]
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None, derandomize=True)
 
@@ -113,3 +115,31 @@ def test_prime_row_operations_match_generic(p, data):
     assert f.axpy_row(c, x, y) == Field.axpy_row(f, c, x, y)
     assert f.scale_row(c, x) == Field.scale_row(f, c, x)
     assert f.dot(x, y) == Field.dot(f, x, y)
+
+
+@PROPERTY
+@given(st.data())
+def test_second_wong_is_orthogonal_to_first_on_transposes(data):
+    f = data.draw(st.sampled_from(WONG_FIELDS))
+    n = data.draw(st.integers(1, 4))
+    gens = data.draw(st.lists(matrices(f, n, n), min_size=1, max_size=3))
+    sp = MatSpace.from_spanning(gens, f, n, n)
+    a = data.draw(matrices(f, n, n))
+    second = second_wong(a, sp)
+    dual = first_wong(a.transpose(), sp.transpose_space())
+    assert len(second.terms) == len(dual.terms)
+    for w, u in zip(second.terms, dual.terms):
+        assert w == u.orthogonal()
+
+
+@PROPERTY
+@given(st.data())
+def test_single_matrix_preimage(data):
+    # {x : a x in W} has dimension dim ker a + dim (W meet im a)
+    f = data.draw(st.sampled_from(WONG_FIELDS))
+    nrows, ncols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    a = data.draw(matrices(f, nrows, ncols))
+    w = Subspace(f, nrows, data.draw(st.lists(vectors(f, nrows), max_size=nrows)))
+    pre = MatSpace.of(a).preimage_of(w)
+    assert all(w.contains_vector(a.apply(x)) for x in pre.basis)
+    assert pre.dim == kernel(a).dim + w.intersect(image(a)).dim

@@ -98,10 +98,10 @@ def test_orthogonal_dimensions():
         assert o.orthogonal() == u
 
 
-def test_quotient_coords():
+def test_orthogonal_basis_is_quotient_map():
+    # the rows of U's orthogonal map F^n onto F^(n - dim U) with kernel U
     u = Subspace.span(GF5, 3, [[1, 0, 0]])
-    p, codim = u.quotient_coords()
-    assert codim == 2
+    p = u.orthogonal().basis_matrix()
     assert p.nrows == 2 and p.ncols == 3
     assert all(GF5.is_zero(e) for v in u.basis for e in p.apply(v))
     assert p.rank() == 2

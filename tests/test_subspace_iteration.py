@@ -9,7 +9,6 @@ import random
 
 from symrank import (Mat, MatSpace, PoInstance, Subspace, find_ell,
                      helpful_subspaces, is_triangularizable_with_nonsingular)
-from symrank.wong import mat_image_of
 from conftest import (GF5, GF7, rand_matrix, rand_nonsingular, rand_subspace,
                       rank_one_space, upper_triangular)
 
@@ -39,7 +38,7 @@ def check_helpers_match_definition(inst: PoInstance) -> int:
     for h in hs:
         assert all(d.contains(g) for g in h.gens)
     for x in elements(d):
-        ok = {j: u_prime.contains(lefts[j].image_of(mat_image_of(x, rights[j])))
+        ok = {j: u_prime.contains(lefts[j].image_of(MatSpace.of(x).image_of(rights[j])))
               for j in lefts}
         for i, h in enumerate(hs, start=1):
             expect = all(ok[j] for j in ok if j != i)
