@@ -304,10 +304,10 @@ def verify_certificate(sp: MatSpace, cert: dict) -> bool:
         raise ValueError(f"{algo} certificate has unknown status {status!r}")
 
     if algo == "smr":
-        if status == "failed_po":
-            return True
         space = working_space(sp, FieldSpec.from_json(cert["working_field"]))
         rank = _json_int(cert["rank"])
+        if status == "failed_po":
+            return check_claim(space, _coefficients(space.field.scalar_from_json, cert), rank)
         if _json_int(cert["c"]) != space.nrows - rank:
             return False
         if status != certified_status(sp.field, space.field):

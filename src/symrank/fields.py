@@ -9,6 +9,7 @@ the field handle; matrices carry the handle and refuse to mix fields.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -286,8 +287,32 @@ class PrimeField(Field):
         return _json_int(v) % self.p
 
 
+# Extension fields up to this size do their multiplications by log/antilog
+# tables, built in O(q) at construction; larger ones keep polynomial arithmetic.
+TABLE_MAX = 1 << 12
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
 class ExtensionField(Field):
-    """GF(p)[x]/(modulus); elements are coefficient tuples of length k."""
+    """GF(p)[x]/(modulus); elements are coefficient tuples of length k.
+
+    Up to TABLE_MAX elements, with g the first primitive element in
+    counting order and m = q - 1:
+      _exp[i] = g^(i mod m) for 0 <= i < 2m (negative indices wrap too),
+      _log[a] = i with g^i = a, and None for zero,
+      _zech[i] = log(1 + g^(i mod m)), or None where 1 + g^i = 0; 2m long.
+    Then a*b = _exp[_log[a] + _log[b]] and g^i + g^j = g^(j + _zech[i - j]).
+    """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         self.spec = FieldSpec("extension", p=p, k=k, modulus=tuple(modulus))
@@ -296,6 +321,38 @@ class ExtensionField(Field):
         self.modulus = self.spec.modulus
         self.zero = (0,) * k
         self.one = (1,) + (0,) * (k - 1)
+        self._log = None
+        if p ** k <= TABLE_MAX:
+            self._build_tables()
+
+    def _build_tables(self) -> None:
+        self._order = m = self.p ** self.k - 1
+        cofactors = [m // r for r in _prime_factors(m)]
+        g = next(a for a in itertools.islice(self.elements(), 1, None)
+                 if all(self._poly_pow(a, e) != self.one for e in cofactors))
+        powers = [self.one]
+        for _ in range(m - 1):
+            powers.append(self._poly_mul_mod(powers[-1], g))
+        self._exp = powers + powers
+        self._log = {a: i for i, a in enumerate(powers)}
+        self._log[self.zero] = None
+        # -g^i = g^(i + m/2) for odd p, and -1 = 1 for p = 2
+        self._neg_shift = m // 2 if self.p > 2 else 0
+        zech = [self._log[self.add(self.one, a)] for a in powers]
+        self._zech = zech + zech
+
+    def _poly_mul_mod(self, a, b):
+        prod = _poly_mul(_poly_trim(a), _poly_trim(b), self.p)
+        return self._pad(_poly_mod(prod, self.modulus, self.p))
+
+    def _poly_pow(self, a, e: int):
+        out = self.one
+        while e:
+            if e & 1:
+                out = self._poly_mul_mod(out, a)
+            a = self._poly_mul_mod(a, a)
+            e >>= 1
+        return out
 
     def _pad(self, c: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(c) + (0,) * (self.k - len(c))
@@ -313,10 +370,20 @@ class ExtensionField(Field):
         return tuple(-x % p for x in a)
 
     def mul(self, a, b):
-        prod = _poly_mul(_poly_trim(a), _poly_trim(b), self.p)
-        return self._pad(_poly_mod(prod, self.modulus, self.p))
+        log = self._log
+        if log is None:
+            return self._poly_mul_mod(a, b)
+        la, lb = log[a], log[b]
+        if la is None or lb is None:
+            return self.zero
+        return self._exp[la + lb]
 
     def inv(self, a):
+        if self._log is not None:
+            la = self._log[a]
+            if la is None:
+                raise ZeroDivisionError("inverse of zero")
+            return self._exp[-la]
         # extended Euclid on (a, modulus)
         r0, r1 = _poly_trim(a), self.modulus
         if not r0:
@@ -331,6 +398,60 @@ class ExtensionField(Field):
         # r0 is a nonzero constant gcd
         c_inv = pow(r0[0], self.p - 2, self.p)
         return self._pad(_poly_trim(tuple(v * c_inv % self.p for v in s0)))
+
+    # table lookups that skip zero terms; Field's generic loops above TABLE_MAX
+
+    def axpy_row(self, c, x, y) -> list:
+        log = self._log
+        if log is None:
+            return Field.axpy_row(self, c, x, y)
+        lc = log[c]
+        if lc is None:
+            return list(y)
+        exp, zech, zero = self._exp, self._zech, self.zero
+        lc = (lc + self._neg_shift) % self._order   # log of -c
+        out = []
+        for a, b in zip(x, y):
+            la = log[a]
+            if la is None:
+                out.append(b)
+                continue
+            lt = lc + la
+            lb = log[b]
+            if lb is None:
+                out.append(exp[lt])
+                continue
+            z = zech[lt - lb]
+            out.append(zero if z is None else exp[lb + z])
+        return out
+
+    def scale_row(self, c, x) -> list:
+        log = self._log
+        if log is None:
+            return Field.scale_row(self, c, x)
+        lc = log[c]
+        if lc is None:
+            return [self.zero] * len(x)
+        exp, zero = self._exp, self.zero
+        return [zero if la is None else exp[lc + la] for la in map(log.__getitem__, x)]
+
+    def dot(self, x, y):
+        log = self._log
+        if log is None:
+            return Field.dot(self, x, y)
+        exp, zech, m = self._exp, self._zech, self._order
+        acc = None                       # log of the running sum; None for zero
+        for a, b in zip(x, y):
+            la, lb = log[a], log[b]
+            if la is None or lb is None:
+                continue
+            t = la + lb
+            if acc is None:
+                acc = t % m
+                continue
+            z = zech[t - acc]
+            acc = None if z is None else (acc + z) % m
+        return self.zero if acc is None else exp[acc]
 
     def is_zero(self, a):
         return not any(a)  # elements are reduced coefficient tuples
@@ -383,10 +504,46 @@ class RationalField(Field):
         return 1 / a
 
     def is_zero(self, a):
-        return a == 0
+        return not a
 
     def from_int(self, i: int):
         return Fraction(i)
+
+    # integer numerators and denominators, one Fraction built per entry or
+    # per sum; zero terms skipped
+
+    def axpy_row(self, c, x, y) -> list:
+        if not c:
+            return list(y)
+        cn, cd = c.numerator, c.denominator
+        out = []
+        for a, b in zip(x, y):
+            n = cn * a.numerator
+            if not n:
+                out.append(b)
+                continue
+            d, bd = cd * a.denominator, b.denominator
+            if d == bd:
+                out.append(Fraction(b.numerator - n, d))
+            else:
+                out.append(Fraction(b.numerator * d - n * bd, bd * d))
+        return out
+
+    def scale_row(self, c, x) -> list:
+        return [c * a if a else a for a in x]
+
+    def dot(self, x, y):
+        num, den = 0, 1
+        for a, b in zip(x, y):
+            n = a.numerator * b.numerator
+            if n:
+                d = a.denominator * b.denominator
+                if d == den:
+                    num += n
+                else:
+                    g = math.gcd(den, d)
+                    num, den = num * (d // g) + n * (den // g), den // g * d
+        return Fraction(num, den)
 
     def elements(self):
         raise FieldTooSmall("cannot enumerate an infinite field")

@@ -80,8 +80,8 @@ def reduce_coefficients(sp: MatSpace, coeffs: list) -> list:
     return out
 
 
-def smr(sp: MatSpace, start: int = 0) -> SmrResult:
-    """Maximum-rank search starting from the generator at index `start`."""
+def smr(sp: MatSpace) -> SmrResult:
+    """Maximum-rank search starting from the first generator."""
     if sp.dim == 0:
         raise EmptySpace("cannot search an empty matrix space")
     padded = pad_square(sp)
@@ -90,9 +90,8 @@ def smr(sp: MatSpace, start: int = 0) -> SmrResult:
     f = work.field
     rational = f.cardinality() is None
 
-    m = work.dim
-    coeffs = [f.one if i == start else f.zero for i in range(m)]
-    a = work.gens[start]
+    coeffs = [f.one] + [f.zero] * (work.dim - 1)
+    a = work.gens[0]
     ranks = [a.rank()]
     lambdas = distinct_elements(f, n + 1)
 
@@ -126,24 +125,6 @@ def smr(sp: MatSpace, start: int = 0) -> SmrResult:
     raise AssertionError("rank increased more than n times")  # unreachable
 
 
-def smr_best_start(sp: MatSpace) -> SmrResult:
-    """Restart the search from every generator and keep the best certified run.
-
-    This covers spaces whose rank-1-spanned part has codimension one: runs
-    started outside that part are guaranteed to succeed, the others end
-    with a safe failed_po.
-    """
-    best: Optional[SmrResult] = None
-    fallback: Optional[SmrResult] = None
-    for i in range(sp.dim):
-        res = smr(sp, start=i)
-        if res.status == "failed_po":
-            fallback = fallback or res
-        elif best is None or res.rank > best.rank:
-            best = res
-    return best if best is not None else fallback
-
-
 def smr_rank_only(sp: MatSpace) -> int:
     """The maximum rank, valid over the base field regardless of its size."""
     if sp.dim == 0:
@@ -167,18 +148,20 @@ def certified_status(base: Field, working: Field) -> str:
 
 
 def check_claim(space: MatSpace, coefficients: list, rank: int,
-                witness: Subspace) -> bool:
+                witness: Optional[Subspace] = None) -> bool:
     """The SMR claim on a working space: the combination has rank `rank`,
-    and the witness has discrepancy at least n - rank, so no element has more."""
+    and the witness has discrepancy at least n - rank, so no element has more.
+    Without a witness (failed_po) the claim is only that lower bound."""
     return (space.element(coefficients).rank() == rank
-            and verify_witness(space, witness, space.nrows - rank))
+            and (witness is None or verify_witness(space, witness, space.nrows - rank)))
 
 
 def check_result(sp: MatSpace, res: SmrResult) -> bool:
-    """Re-verify a certified result against the (padded) space."""
-    if res.witness is None:
-        return res.status == "failed_po"
+    """Re-verify a result against the (padded) space."""
     space = working_space(sp, res.working_field)
+    if res.witness is None:
+        return (res.status == "failed_po"
+                and check_claim(space, res.coefficients, res.rank))
     return (res.status == certified_status(sp.field, space.field)
             and space.element(res.coefficients) == res.matrix
             and check_claim(space, res.coefficients, res.rank, res.witness))

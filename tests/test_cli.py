@@ -239,6 +239,9 @@ TAMPER_INSTANCES = {
                                     [["0", "0"], ["0", "1/2"]]]),
     "shift": ({"kind": "prime", "p": 7}, [[[0, 1], [0, 0]]]),
     "gf2_diag": ({"kind": "prime", "p": 2}, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]),
+    "sk3": ({"kind": "prime", "p": 5}, [[[0, 1, 0], [4, 0, 0], [0, 0, 0]],
+                                        [[0, 0, 0], [0, 0, 1], [0, 4, 0]],
+                                        [[0, 0, 1], [0, 0, 0], [4, 0, 0]]]),
 }
 
 # command -> (instance, argv before and after the instance path); E2 stands
@@ -247,6 +250,7 @@ E2 = "E2"
 TAMPER_COMMANDS = {
     "smr": ("diag", ["smr"], []),
     "smr-extended": ("gf2_diag", ["smr"], []),   # working field GF(4)
+    "smr-failed-po": ("sk3", ["smr"], []),       # no rank witness: exit 2
     "sdit-tri-nonsingular": ("upper", ["sdit-tri"], []),
     "sdit-tri-witness": ("top_row", ["sdit-tri"], []),
     "sdit-tri-mod-p": ("half", ["sdit-tri"], ["--mod-p"]),
@@ -254,6 +258,7 @@ TAMPER_COMMANDS = {
     "wong": ("diag", ["wong"], ["--anchor", "1", "--kind", "second"]),
     "tri-test": ("upper", ["tri-test"], ["--pivot", "1"]),
 }
+EMIT_CODES = {"smr-failed-po": 2}
 
 
 def _set(**fields):
@@ -266,6 +271,10 @@ def _bump(key):
 
 def _drop_coefficient(cert):
     cert["coefficients"].pop()
+
+
+def _append_coefficient(cert):
+    cert["coefficients"].append(0)
 
 
 def _whole(value):
@@ -311,6 +320,11 @@ TAMPER_CASES = [
     _tamper("smr", _bump("c"), 2, "c-plus-one"),
     _tamper("smr", _drop_coefficient, 1, "dropped-coefficient"),
     _tamper("sdit-tri-mod-p", _drop_coefficient, 1, "dropped-coefficient"),
+    # a failed_po certificate claims a lower bound: the combination has rank `rank`
+    _tamper("smr-failed-po", _bump("rank"), 2, "rank-plus-one"),
+    _tamper("smr-failed-po", _set(rank=1), 2, "rank-minus-one"),
+    _tamper("smr-failed-po", _drop_coefficient, 1, "dropped-coefficient"),
+    _tamper("smr-failed-po", _append_coefficient, 1, "appended-coefficient"),
 ]
 
 
@@ -324,7 +338,7 @@ def _emit(tmp_path, command):
     e2 = write_json(tmp_path / "e2.json", {"ambient_dim": 2, "basis": [[0, 1]]})
     cert = str(tmp_path / "cert.json")
     argv = head + [inst] + [e2 if a == E2 else a for a in tail] + ["-o", cert]
-    assert main(argv) == 0
+    assert main(argv) == EMIT_CODES.get(command, 0)
     return inst, cert
 
 

@@ -8,7 +8,8 @@ import pytest
 from symrank import (ExtensionField, FieldSpec, PrimeField, RationalField,
                      SymrankError, distinct_elements, ensure_size, make_field)
 from symrank.errors import NonPrimeModulus, ReducibleModulus
-from symrank.fields import _find_irreducible
+from symrank.fields import (TABLE_MAX, _find_irreducible, _poly_divmod, _poly_mod,
+                            _poly_mul, _poly_trim)
 
 
 def test_prime_field_basics():
@@ -120,3 +121,41 @@ def test_field_axioms_random():
             assert f.add(a, f.neg(a)) == f.zero
             if not f.is_zero(a):
                 assert f.mul(a, f.inv(a)) == f.one
+
+
+def _reference_mul(f, a, b):
+    prod = _poly_mul(_poly_trim(a), _poly_trim(b), f.p)
+    return f._pad(_poly_mod(prod, f.modulus, f.p))
+
+
+def _reference_inv(f, a):
+    """Extended Euclid on (a, modulus), written out independently of the field."""
+    p = f.p
+    r0, r1, s0, s1 = _poly_trim(a), f.modulus, (1,), ()
+    while r1:
+        q, r = _poly_divmod(r0, r1, p)
+        qs = _poly_mul(q, s1, p)
+        width = max(len(s0), len(qs))
+        diff = [((s0[i] if i < len(s0) else 0) - (qs[i] if i < len(qs) else 0)) % p
+                for i in range(width)]
+        r0, r1, s0, s1 = r1, r, s1, _poly_trim(tuple(diff))
+    c_inv = pow(r0[0], p - 2, p)
+    return f._pad(_poly_trim(tuple(c * c_inv % p for c in s0)))
+
+
+@pytest.mark.parametrize("p, k", [(2, 3), (3, 2), (5, 2), (2, 5), (2, 13)],
+                         ids=["gf2^3", "gf3^2", "gf5^2", "gf2^5", "gf2^13-untabled"])
+def test_extension_tables_match_polynomial_arithmetic(p, k):
+    f = ExtensionField(p, k, _find_irreducible(p, k))
+    assert (f._log is None) == (p ** k > TABLE_MAX)
+    elems = list(f.elements())
+    if p ** k > TABLE_MAX:
+        # every pair of a fixed sample: q^2 products would take minutes
+        elems = elems[:24] + elems[-24:] + random.Random(13).sample(elems, 24)
+    for a in elems:
+        for b in elems:
+            assert f.mul(a, b) == _reference_mul(f, a, b)
+        if any(a):
+            assert f.inv(a) == _reference_inv(f, a)
+    with pytest.raises(ZeroDivisionError):
+        f.inv(f.zero)

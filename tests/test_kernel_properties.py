@@ -104,11 +104,11 @@ def test_membership_agrees_with_rank_growth(data):
     assert sp.contains(Mat(f, [v])) == (not grows)
 
 
-@pytest.mark.parametrize("p", [2, 7, 101, 65537])
+@pytest.mark.parametrize("f", FIELDS + [PrimeField(65537)], ids=FIELD_IDS + ["gf65537"])
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(data=st.data())
-def test_prime_row_operations_match_generic(p, data):
-    f = PrimeField(p)
+def test_row_operations_match_generic(f, data):
+    # each field's own row kernels against Field's generic scalar loops
     n = data.draw(st.integers(0, 8))
     x, y = data.draw(vectors(f, n)), data.draw(vectors(f, n))
     c = data.draw(scalars(f))

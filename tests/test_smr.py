@@ -11,7 +11,7 @@ from symrank.errors import EmptySpace
 from symrank.oracles import brute_max_rank
 from symrank.fields import FieldSpec
 from symrank.smr import (check_claim, check_result, pad_square, reduce_coefficients,
-                         smr_best_start, working_space)
+                         working_space)
 from conftest import GF2, GF5, GF7, rank_one_space
 
 
@@ -120,14 +120,6 @@ def test_smr_over_rationals():
     assert all(c.denominator == 1 and 0 <= c <= 2 for c in res.coefficients)
 
 
-def test_smr_best_start():
-    sp = MatSpace.from_spanning([
-        Mat.from_ints(GF7, [[0, 1], [0, 0]]),
-        Mat.from_ints(GF7, [[0, 0], [1, 0]])])
-    res = smr_best_start(sp)
-    assert res.rank == 2
-
-
 def test_check_claim_and_working_space():
     sp = MatSpace.from_spanning([
         Mat.from_ints(GF2, [[1, 0, 0], [0, 0, 0]]),
@@ -139,5 +131,9 @@ def test_check_claim_and_working_space():
     for wrong_rank in (1, 3):
         assert not check_claim(space, res.coefficients, wrong_rank, res.witness)
     assert not check_claim(space, res.coefficients, 2, Subspace.zero(space.field, 3))
+    # without a witness only the rank of the combination is claimed
+    assert check_claim(space, res.coefficients, 2)
+    for wrong_rank in (1, 3):
+        assert not check_claim(space, res.coefficients, wrong_rank)
     with pytest.raises(ValueError, match="working field"):
         working_space(sp, FieldSpec("prime", p=3))
