@@ -138,6 +138,15 @@ def _write_json(data, path) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
+FAILURES = ("failed_po", "fail", "inconclusive", "no")
+
+
+def _emit(cert: dict, path) -> int:
+    """Write a certificate; exit code 2 if its status is a typed failure."""
+    _write_json(cert, path)
+    return 2 if cert.get("status") in FAILURES else 0
+
+
 def cmd_smr(args) -> int:
     sp = load_instance(args.instance)
     res = run_smr(sp)
@@ -154,8 +163,7 @@ def cmd_smr(args) -> int:
     if res.witness is not None:
         cert["witness_basis"] = _subspace_json(res.witness)
         cert["c"] = pad_square(sp).nrows - res.rank
-    _write_json(cert, args.output)
-    return 2 if res.status == "failed_po" else 0
+    return _emit(cert, args.output)
 
 
 def cmd_sdit_tri(args) -> int:
@@ -172,8 +180,7 @@ def cmd_sdit_tri(args) -> int:
         if report.outcome == "nonsingular_combination":
             cert["prime_used"] = report.prime_used
             cert["coefficients"] = report.integer_coefficients
-        _write_json(cert, args.output)
-        return 0 if report.outcome == "nonsingular_combination" else 2
+        return _emit(cert, args.output)
 
     sp = load_instance(args.instance)
     out = sdit.tri_algo(sp)
@@ -189,44 +196,36 @@ def cmd_sdit_tri(args) -> int:
     elif out.kind == "witness":
         cert["witness_basis"] = _subspace_json(out.witness)
         cert["c"] = out.witness.dim - sp.image_of(out.witness).dim
-    _write_json(cert, args.output)
-    return 2 if out.kind == "fail" else 0
+    return _emit(cert, args.output)
 
 
-def cmd_tri_test(args) -> int:
-    sp = load_instance(args.instance)
-    pivot = _generator(sp, args.pivot)
-    result = sdit.is_triangularizable_with_nonsingular(sp, pivot)
-    cert = {
+# deterministic commands: verify compares a certificate with what these build
+
+def tri_test_certificate(sp: MatSpace, pivot) -> dict:
+    result = sdit.is_triangularizable_with_nonsingular(sp, _generator(sp, pivot))
+    return {
         "algorithm": "tri_test",
         "status": "triangularizable" if result else "not_triangularizable",
-        "pivot": args.pivot,
+        "pivot": pivot,
         "working_field": sp.field.spec.to_json(),
     }
-    _write_json(cert, args.output)
-    return 0
 
 
-def cmd_wong(args) -> int:
-    sp = load_instance(args.instance)
-    anchor = _generator(sp, args.anchor)
-    trace = (first_wong if args.kind == "first" else second_wong)(anchor, sp)
-    cert = {
+def wong_certificate(sp: MatSpace, anchor, kind) -> dict:
+    if kind not in ("first", "second"):
+        raise ValueError(f"unknown Wong sequence kind {kind!r}")
+    trace = (first_wong if kind == "first" else second_wong)(_generator(sp, anchor), sp)
+    return {
         "algorithm": "wong",
         "kind": trace.kind,
-        "anchor": args.anchor,
+        "anchor": anchor,
         "terms": [_subspace_json(t) for t in trace.terms],
         "limit": _subspace_json(trace.limit),
         "working_field": sp.field.spec.to_json(),
     }
-    _write_json(cert, args.output)
-    return 0
 
 
-def cmd_po(args) -> int:
-    sp = load_instance(args.instance)
-    u = load_subspace(args.u, sp.field)
-    u_prime = load_subspace(args.uprime, sp.field)
+def po_certificate(sp: MatSpace, u: Subspace, u_prime: Subspace) -> dict:
     answer = solve_po(PoInstance(sp, u, u_prime))
     f = sp.field
     cert = {
@@ -239,15 +238,13 @@ def cmd_po(args) -> int:
     if answer.found:
         cert["coefficients"] = _coeffs_json(f, answer.coefficients)
         cert["ell"] = answer.ell
-    _write_json(cert, args.output)
-    return 0 if answer.found else 2
+    return cert
 
 
-def cmd_oracle(args) -> int:
-    sp = load_instance(args.instance)
-    report = oracles.oracle_report(sp, budget=args.budget)
+def oracle_certificate(sp: MatSpace, budget: int = oracles.DEFAULT_BUDGET) -> dict:
+    report = oracles.oracle_report(sp, budget=budget)
     f = sp.field
-    cert = {
+    return {
         "algorithm": "oracle",
         "max_rank": report.max_rank,
         "disc": report.disc,
@@ -257,8 +254,26 @@ def cmd_oracle(args) -> int:
         "enumerated_subspaces": report.enumerated_subspaces,
         "working_field": f.spec.to_json(),
     }
-    _write_json(cert, args.output)
-    return 0
+
+
+def cmd_tri_test(args) -> int:
+    return _emit(tri_test_certificate(load_instance(args.instance), args.pivot), args.output)
+
+
+def cmd_wong(args) -> int:
+    sp = load_instance(args.instance)
+    return _emit(wong_certificate(sp, args.anchor, args.kind), args.output)
+
+
+def cmd_po(args) -> int:
+    sp = load_instance(args.instance)
+    u = load_subspace(args.u, sp.field)
+    u_prime = load_subspace(args.uprime, sp.field)
+    return _emit(po_certificate(sp, u, u_prime), args.output)
+
+
+def cmd_oracle(args) -> int:
+    return _emit(oracle_certificate(load_instance(args.instance), args.budget), args.output)
 
 
 def cmd_gallery(args) -> int:
@@ -295,6 +310,8 @@ STATUSES = {"smr": ("max_rank_found", "non_constructive_rank", "failed_po"),
 def verify_certificate(sp: MatSpace, cert: dict) -> bool:
     """Parse a certificate and check its claim with the solver's own checker.
 
+    A wong, tri_test or oracle certificate, or a po `no`, claims its whole
+    text: it passes only if it equals what the command's builder writes.
     A malformed certificate raises ValueError; a false claim returns False.
     """
     cert = _json_typed(cert, dict, "a certificate")
@@ -333,37 +350,25 @@ def verify_certificate(sp: MatSpace, cert: dict) -> bool:
         return sdit.integer_nonsingular(integer_generators(sp), ints)
 
     if algo == "po":
-        if status == "no":
-            return True
-        ell = _json_int(cert["ell"])
-        if ell < 0:
-            raise ValueError(f"negative exponent ell {ell}")
-        f = sp.field
-        u = _subspace_from_json(f, sp.ncols, cert["u_basis"])
-        u_prime = _subspace_from_json(f, sp.ncols, cert["uprime_basis"])
-        coeffs = _coefficients(f.scalar_from_json, cert)
-        return _power_escapes(sp.element(coeffs), ell, u, u_prime)
-
-    if algo == "wong":
-        kind = cert["kind"]
-        if kind not in ("first", "second"):
-            raise ValueError(f"unknown Wong sequence kind {kind!r}")
-        anchor = _generator(sp, cert["anchor"])
-        trace = (first_wong if kind == "first" else second_wong)(anchor, sp)
-        return cert["limit"] == _subspace_json(trace.limit) and \
-            cert["terms"] == [_subspace_json(t) for t in trace.terms]
-
-    if algo == "oracle":
-        report = oracles.oracle_report(sp)
-        return (report.max_rank == _json_int(cert["max_rank"])
-                and report.disc == _json_int(cert["disc"]))
-
-    if algo == "tri_test":
-        pivot = _generator(sp, cert["pivot"])
-        result = sdit.is_triangularizable_with_nonsingular(sp, pivot)
-        return result == (status == "triangularizable")
-
-    raise ValueError(f"unknown certificate algorithm {algo!r}")
+        u = _subspace_from_json(sp.field, sp.ncols, cert["u_basis"])
+        u_prime = _subspace_from_json(sp.field, sp.ncols, cert["uprime_basis"])
+        if status == "found":
+            ell = _json_int(cert["ell"])
+            if ell < 0:
+                raise ValueError(f"negative exponent ell {ell}")
+            coeffs = _coefficients(sp.field.scalar_from_json, cert)
+            return _power_escapes(sp.element(coeffs), ell, u, u_prime)
+        rebuilt = po_certificate(sp, u, u_prime)
+    elif algo == "wong":
+        rebuilt = wong_certificate(sp, cert["anchor"], cert["kind"])
+    elif algo == "oracle":
+        rebuilt = oracle_certificate(sp)
+    elif algo == "tri_test":
+        rebuilt = tri_test_certificate(sp, cert["pivot"])
+    else:
+        raise ValueError(f"unknown certificate algorithm {algo!r}")
+    # compared as JSON text, in which neither 1.0 nor true stands for 1
+    return json.dumps(cert, sort_keys=True) == json.dumps(rebuilt, sort_keys=True)
 
 
 def cmd_verify(args) -> int:

@@ -14,7 +14,7 @@ from .fields import Field
 class Mat:
     """Dense rows x cols matrix over a single field."""
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "_rank")
+    __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field: Field, rows):
         self.field = field
@@ -24,7 +24,6 @@ class Mat:
         for r in self.rows:
             if len(r) != self.ncols:
                 raise DimMismatch("ragged rows")
-        self._rank = None
 
     # -- constructors -------------------------------------------------------
 
@@ -102,9 +101,7 @@ class Mat:
     # -- elimination --------------------------------------------------------
 
     def rank(self) -> int:
-        if self._rank is None:
-            self._rank = len(_eliminate(self.field, self.rows, reduced=False)[1])
-        return self._rank
+        return len(_eliminate(self.field, self.rows, reduced=False)[1])
 
     def det(self):
         if self.nrows != self.ncols:

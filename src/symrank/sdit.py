@@ -11,13 +11,14 @@ cover a determinant bound.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import EmptySpace, FieldTooSmall, NotMember, NotSquare, SingularS
-from .fields import PrimeField, distinct_elements
+from .fields import PrimeField, _is_prime, distinct_elements
 from .linalg import Mat, Subspace, kernel
 from .spaces import MatSpace, run_to_fixpoint
 from .wong import first_wong, verify_witness
@@ -84,22 +85,6 @@ def _tri(mats: list[Mat], n: int, field) -> TriOutcome:
     raise AssertionError("no nonsingular combination of B_j and E found")
 
 
-def tri_algo_list(mats: list[Mat]) -> TriOutcome:
-    """Run the recursion on a generator list, keeping coefficient positions."""
-    if not mats:
-        raise NotSquare("empty generator list")
-    n = mats[0].nrows
-    field = mats[0].field
-    if any(b.nrows != n or b.ncols != n for b in mats):
-        raise NotSquare("generators must be square of one size")
-    card = field.cardinality()
-    if card is not None and card < n + 1:
-        raise FieldTooSmall(f"need at least {n + 1} field elements")
-    out = _tri(mats, n, field)
-    assert check_outcome(MatSpace(field, n, n, mats), out), "outcome failed its own check"
-    return out
-
-
 def check_outcome(sp: MatSpace, out: TriOutcome, c: int = 1) -> bool:
     """The claim of a tri_algo outcome on sp: a full-rank combination of sp's
     basis, or a witness U with dim U - dim sp(U) >= max(1, c); fail claims nothing."""
@@ -111,9 +96,18 @@ def check_outcome(sp: MatSpace, out: TriOutcome, c: int = 1) -> bool:
 
 
 def tri_algo(sp: MatSpace) -> TriOutcome:
+    """Run the recursion on sp's generators; coefficients refer to their positions."""
     if sp.nrows != sp.ncols:
         raise NotSquare("SDIT is defined for square spaces")
-    return tri_algo_list(sp.gens)
+    if sp.dim == 0:
+        raise NotSquare("empty generator list")
+    n = sp.nrows
+    card = sp.field.cardinality()
+    if card is not None and card < n + 1:
+        raise FieldTooSmall(f"need at least {n + 1} field elements")
+    out = _tri(sp.gens, n, sp.field)
+    assert check_outcome(sp, out), "outcome failed its own check"
+    return out
 
 
 def is_triangularizable_with_nonsingular(sp: MatSpace, s: Mat) -> bool:
@@ -155,11 +149,7 @@ class RationalSditReport:
 
 
 def _primes_above(n: int):
-    p = max(n, 1) + 1
-    while True:
-        if all(p % d for d in range(2, math.isqrt(p) + 1)):
-            yield p
-        p += 1
+    return filter(_is_prime, itertools.count(max(n, 1) + 1))
 
 
 def _int_det(rows: list[list[int]]) -> int:
@@ -222,7 +212,8 @@ def rational_sdit(int_mats: list[list[list[int]]],
         tried.append(p)
         gf = PrimeField(p)
         mats = [Mat.from_ints(gf, mat) for mat in int_mats]
-        out = tri_algo_list(mats)
+        # unpruned, so coefficient positions stay those of int_mats
+        out = tri_algo(MatSpace(gf, n, mats[0].ncols, mats))
         if out.kind != "nonsingular":
             continue
         ints = [c % p for c in out.coefficients]

@@ -92,36 +92,35 @@ def smr(sp: MatSpace) -> SmrResult:
 
     coeffs = [f.one] + [f.zero] * (work.dim - 1)
     a = work.gens[0]
-    ranks = [a.rank()]
+    r = a.rank()
+    ranks = [r]
     lambdas = distinct_elements(f, n + 1)
 
     for _ in range(n + 1):
         report = witness_test(a, work)
         if report.exists:
-            return SmrResult(certified_status(sp.field, f), coeffs, a, a.rank(),
+            return SmrResult(certified_status(sp.field, f), coeffs, a, r,
                              report.witness, f.spec, ranks)
 
         answer = solve_po(report.po)
         if not answer.found:
-            return SmrResult("failed_po", coeffs, a, a.rank(), None, f.spec, ranks)
+            return SmrResult("failed_po", coeffs, a, r, None, f.spec, ranks)
 
         b = work.element(answer.coefficients)
-        r = a.rank()
-        improved = False
         for lam in lambdas:
             cand = a.add(b.scale(lam))
-            if cand.rank() > r:
-                a = cand
-                coeffs = [f.add(c, f.mul(lam, bc))
-                          for c, bc in zip(coeffs, answer.coefficients)]
-                improved = True
+            cand_rank = cand.rank()
+            if cand_rank > r:
                 break
-        if not improved:
-            return SmrResult("failed_po", coeffs, a, a.rank(), None, f.spec, ranks)
+        else:
+            return SmrResult("failed_po", coeffs, a, r, None, f.spec, ranks)
+        a, r = cand, cand_rank
+        coeffs = [f.add(c, f.mul(lam, bc)) for c, bc in zip(coeffs, answer.coefficients)]
         if rational:
             coeffs = reduce_coefficients(work, coeffs)
             a = work.element(coeffs)
-        ranks.append(a.rank())
+            r = a.rank()
+        ranks.append(r)
     raise AssertionError("rank increased more than n times")  # unreachable
 
 

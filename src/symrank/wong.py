@@ -77,7 +77,7 @@ def witness_test(a: Mat, sp: MatSpace) -> WitnessReport:
     a_pi = pseudo_inverse(a)
     ba = MatSpace(sp.field, n, n, [b.matmul(a_pi) for b in sp.gens])
     im_a = image(a)
-    cork = n - a.rank()
+    cork = n - im_a.dim
 
     start = kernel(a.matmul(a_pi))
     w = ba.image_of(start)

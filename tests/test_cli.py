@@ -244,9 +244,9 @@ TAMPER_INSTANCES = {
                                         [[0, 0, 1], [0, 0, 0], [4, 0, 0]]]),
 }
 
-# command -> (instance, argv before and after the instance path); E2 stands
-# for a subspace file holding the span of the second unit vector
-E2 = "E2"
+# command -> (instance, argv before and after the instance path); E1 and E2
+# stand for subspace files holding the span of the first or second unit vector
+E1, E2 = "E1", "E2"
 TAMPER_COMMANDS = {
     "smr": ("diag", ["smr"], []),
     "smr-extended": ("gf2_diag", ["smr"], []),   # working field GF(4)
@@ -255,10 +255,12 @@ TAMPER_COMMANDS = {
     "sdit-tri-witness": ("top_row", ["sdit-tri"], []),
     "sdit-tri-mod-p": ("half", ["sdit-tri"], ["--mod-p"]),
     "po": ("shift", ["po"], ["--u", E2, "--uprime", E2]),
+    "po-no": ("shift", ["po"], ["--u", E1, "--uprime", E1]),   # D e1 = 0: exit 2
     "wong": ("diag", ["wong"], ["--anchor", "1", "--kind", "second"]),
     "tri-test": ("upper", ["tri-test"], ["--pivot", "1"]),
+    "oracle": ("sk3", ["oracle"], []),
 }
-EMIT_CODES = {"smr-failed-po": 2}
+EMIT_CODES = {"smr-failed-po": 2, "po-no": 2}
 
 
 def _set(**fields):
@@ -275,6 +277,12 @@ def _drop_coefficient(cert):
 
 def _append_coefficient(cert):
     cert["coefficients"].append(0)
+
+
+def _relabel_no(cert):
+    """A found answer passed off as no, with its combination removed."""
+    cert["status"] = "no"
+    del cert["coefficients"], cert["ell"]
 
 
 def _whole(value):
@@ -325,6 +333,15 @@ TAMPER_CASES = [
     _tamper("smr-failed-po", _set(rank=1), 2, "rank-minus-one"),
     _tamper("smr-failed-po", _drop_coefficient, 1, "dropped-coefficient"),
     _tamper("smr-failed-po", _append_coefficient, 1, "appended-coefficient"),
+    # a deterministic command's certificate must be the one the command
+    # writes: a PO no is re-solved, the others rebuilt in full
+    _tamper("po", _set(status="no"), 2, "relabelled-no"),
+    _tamper("po", _relabel_no, 2, "relabelled-no-without-answer"),
+    _tamper("oracle", _set(argmax_coefficients=[0, 0, 0]), 2, "argmax-coefficients"),
+    _tamper("oracle", _bump("enumerated_elements"), 2, "enumerated-elements"),
+    *(_tamper(cmd, _set(working_field={"kind": "prime", "p": 11}), 2, "working-field")
+      for cmd in ("wong", "tri-test")),
+    _tamper("oracle", _bump("max_rank"), 2, "max-rank-plus-one"),   # control
 ]
 
 
@@ -335,9 +352,10 @@ def _emit(tmp_path, command):
     n = len(basis[0])
     inst = write_json(tmp_path / "inst.json", {
         "field": field, "n": n, "n_cols": n, "basis": basis})
-    e2 = write_json(tmp_path / "e2.json", {"ambient_dim": 2, "basis": [[0, 1]]})
+    units = {E1: write_json(tmp_path / "e1.json", {"ambient_dim": 2, "basis": [[1, 0]]}),
+             E2: write_json(tmp_path / "e2.json", {"ambient_dim": 2, "basis": [[0, 1]]})}
     cert = str(tmp_path / "cert.json")
-    argv = head + [inst] + [e2 if a == E2 else a for a in tail] + ["-o", cert]
+    argv = head + [inst] + [units.get(a, a) for a in tail] + ["-o", cert]
     assert main(argv) == EMIT_CODES.get(command, 0)
     return inst, cert
 

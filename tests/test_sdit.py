@@ -10,8 +10,7 @@ from symrank import (Mat, MatSpace, PrimeField, RationalField,
                      tri_algo, verify_witness)
 from symrank.errors import FieldTooSmall, NotMember, NotSquare, SingularS
 from symrank.oracles import sk3
-from symrank.sdit import (TriOutcome, _int_det, check_outcome, integer_nonsingular,
-                          tri_algo_list)
+from symrank.sdit import TriOutcome, _int_det, check_outcome, integer_nonsingular
 from conftest import GF5, GF7, rand_nonsingular, upper_triangular
 
 
@@ -45,7 +44,7 @@ def test_tri_algo_one_by_one():
     sp = MatSpace.from_spanning([Mat.from_ints(GF5, [[3]])])
     out = tri_algo(sp)
     assert out.kind == "nonsingular"
-    zero = tri_algo_list([Mat.zeros(GF5, 1, 1)])
+    zero = tri_algo(MatSpace.of(Mat.zeros(GF5, 1, 1)))
     assert zero.kind == "witness" and zero.witness.dim == 1
 
 
@@ -62,7 +61,7 @@ def test_tri_algo_field_too_small():
     f = PrimeField(2)
     mats = [Mat.identity(f, 3)]
     with pytest.raises(FieldTooSmall):
-        tri_algo_list(mats)
+        tri_algo(MatSpace(f, 3, 3, mats))
 
 
 def test_tri_algo_rejects_rectangular():
