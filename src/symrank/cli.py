@@ -362,7 +362,8 @@ def verify_certificate(sp: MatSpace, cert: dict) -> bool:
     elif algo == "wong":
         rebuilt = wong_certificate(sp, cert["anchor"], cert["kind"])
     elif algo == "oracle":
-        rebuilt = oracle_certificate(sp)
+        counts = (_json_int(cert["enumerated_elements"]), _json_int(cert["enumerated_subspaces"]))
+        rebuilt = oracle_certificate(sp, max(oracles.DEFAULT_BUDGET, *counts))
     elif algo == "tri_test":
         rebuilt = tri_test_certificate(sp, cert["pivot"])
     else:

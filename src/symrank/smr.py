@@ -1,11 +1,11 @@
 """Constructive maximum-rank search for rank-1-spanned matrix spaces.
 
-The driver alternates the witness test with the power overflow solver:
-either the current element is certified maximal (with a cork-singularity
-witness), or the overflow answer yields a direction whose admixture
-strictly increases the rank.  Small finite fields are handled by running
-the loop over a deterministic extension; over the rationals coefficients
-are renormalized into {0,...,n} after every step.
+From a greedy start, the driver alternates the witness test with the power
+overflow solver: either the current element is certified maximal (with a
+cork-singularity witness), or the overflow answer yields a direction whose
+admixture raises the rank, from any start.  Small finite fields run the
+loop over a deterministic extension; over the rationals coefficients are
+renormalized into {0,...,n} after every step.
 """
 
 from __future__ import annotations
@@ -80,8 +80,24 @@ def reduce_coefficients(sp: MatSpace, coeffs: list) -> list:
     return out
 
 
+def greedy_start(sp: MatSpace, limit: int) -> tuple:
+    """(coefficients, element, rank) of the sum of the generators, in basis
+    order, that each raise the rank when added, stopping at rank `limit`.
+    Coefficient 1 suffices: A + xy^T gains rank iff x, y are not in im A, row A."""
+    coeffs = [sp.field.zero] * sp.dim
+    a, r = Mat.zeros(sp.field, sp.nrows, sp.ncols), 0
+    for i, g in enumerate(sp.gens):
+        if r == limit:
+            break
+        cand = a.add(g)
+        cand_rank = cand.rank()
+        if cand_rank > r:
+            a, r, coeffs[i] = cand, cand_rank, sp.field.one
+    return coeffs, a, r
+
+
 def smr(sp: MatSpace) -> SmrResult:
-    """Maximum-rank search starting from the first generator."""
+    """Maximum-rank search: the greedy start, then augmentation until certified."""
     if sp.dim == 0:
         raise EmptySpace("cannot search an empty matrix space")
     padded = pad_square(sp)
@@ -90,9 +106,7 @@ def smr(sp: MatSpace) -> SmrResult:
     f = work.field
     rational = f.cardinality() is None
 
-    coeffs = [f.one] + [f.zero] * (work.dim - 1)
-    a = work.gens[0]
-    r = a.rank()
+    coeffs, a, r = greedy_start(work, min(sp.nrows, sp.ncols))
     ranks = [r]
     lambdas = distinct_elements(f, n + 1)
 

@@ -38,6 +38,25 @@ def test_gallery_oracle_verify(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_oracle_certificate_above_default_budget_verifies(tmp_path, capsys):
+    # 24 independent 5x5 matrices over GF(2), the last the identity: 2^24
+    # tuples exceed the default budget, but the second one in lex order
+    # already has full rank, so the search ends at once
+    units = [[[int((i, j) == (r, c)) for c in range(5)] for r in range(5)]
+             for i in range(5) for j in range(5) if (i, j) not in ((0, 0), (4, 4))]
+    eye = [[int(r == c) for c in range(5)] for r in range(5)]
+    inst = write_json(tmp_path / "big.json", {
+        "field": {"kind": "prime", "p": 2}, "n": 5, "n_cols": 5,
+        "basis": units + [eye]})
+    cert = str(tmp_path / "big_oracle.json")
+    assert main(["oracle", inst, "-o", cert]) == 1
+    assert "exceed budget" in capsys.readouterr().err
+    assert main(["oracle", inst, "--budget", "100000000", "-o", cert]) == 0
+    assert json.loads(open(cert).read())["enumerated_elements"] == 2 ** 24
+    assert main(["verify", inst, "--cert", cert]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_smr_cert_and_verify(tmp_path, capsys, diag_instance):
     cert = str(tmp_path / "smr.json")
     assert main(["smr", diag_instance, "-o", cert]) == 0

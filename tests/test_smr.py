@@ -10,9 +10,9 @@ from symrank import (Mat, MatSpace, PrimeField, RationalField, Subspace,
 from symrank.errors import EmptySpace
 from symrank.oracles import brute_max_rank
 from symrank.fields import FieldSpec
-from symrank.smr import (check_claim, check_result, pad_square, reduce_coefficients,
-                         working_space)
-from conftest import GF2, GF5, GF7, rank_one_space
+from symrank.smr import (check_claim, check_result, greedy_start, pad_square,
+                         reduce_coefficients, working_space)
+from conftest import GF2, GF3, GF5, GF7, rand_nonsingular, rank_one_space
 
 
 def test_pad_square():
@@ -137,3 +137,47 @@ def test_check_claim_and_working_space():
         assert not check_claim(space, res.coefficients, wrong_rank)
     with pytest.raises(ValueError, match="working field"):
         working_space(sp, FieldSpec("prime", p=3))
+
+
+def crown(f, k, twist=None):
+    """k blocks of 2x2, block j adding E(2j+1, 2j), E(2j, 2j), E(2j+1, 2j+1)
+    in that order, each matrix taken to Q E R when twist = (Q, R).  Greedy
+    keeps the first unit of every block, rank k; the diagonal has rank 2k."""
+    n = 2 * k
+    mats = [Mat.from_ints(f, [[int((r, c) == (i, j)) for c in range(n)] for r in range(n)])
+            for b in range(k) for i, j in ((2 * b + 1, 2 * b), (2 * b, 2 * b),
+                                           (2 * b + 1, 2 * b + 1))]
+    if twist:
+        mats = [twist[0].matmul(m).matmul(twist[1]) for m in mats]
+    return MatSpace.from_spanning(mats)
+
+
+def _nonsingular(rng, f, n):
+    if f.cardinality() is not None:
+        return rand_nonsingular(rng, f, n)
+    while True:
+        m = Mat.from_ints(f, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        if m.rank() == n:
+            return m
+
+
+def test_greedy_start_on_crown():
+    for k in (1, 2, 3):
+        sp = crown(GF7, k)
+        coeffs, a, r = greedy_start(sp, 2 * k)
+        assert coeffs == [1, 0, 0] * k and r == k == a.rank()
+        assert a == sp.element(coeffs)
+
+
+@pytest.mark.parametrize("f", [GF2, GF3, PrimeField(101), RationalField()],
+                         ids=["gf2", "gf3", "gf101", "q"])
+def test_smr_augments_twisted_crown(f):
+    # greedy stops at rank k, so every further unit of rank comes from PO
+    rng = random.Random(61)
+    for k in (1, 2, 3):
+        n = 2 * k
+        sp = crown(f, k, (_nonsingular(rng, f, n), _nonsingular(rng, f, n)))
+        res = smr(sp)
+        assert res.rank == n
+        assert res.ranks_visited == list(range(k, n + 1))
+        assert check_result(sp, res)
