@@ -44,20 +44,6 @@ def _poly_trim(c: tuple[int, ...]) -> tuple[int, ...]:
     return c[:n]
 
 
-def _poly_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Remainder of a by monic m over GF(p)."""
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[dm], p - 2, p)
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i] % p
-        if c:
-            f = c * inv_lead % p
-            for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - f * m[j]) % p
-    return _poly_trim(tuple(v % p for v in a[:dm]))
-
-
 def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
     if not a or not b:
         return ()
@@ -343,7 +329,7 @@ class ExtensionField(Field):
 
     def _poly_mul_mod(self, a, b):
         prod = _poly_mul(_poly_trim(a), _poly_trim(b), self.p)
-        return self._pad(_poly_mod(prod, self.modulus, self.p))
+        return self._pad(_poly_divmod(prod, self.modulus, self.p)[1])
 
     def _poly_pow(self, a, e: int):
         out = self.one
@@ -384,20 +370,9 @@ class ExtensionField(Field):
             if la is None:
                 raise ZeroDivisionError("inverse of zero")
             return self._exp[-la]
-        # extended Euclid on (a, modulus)
-        r0, r1 = _poly_trim(a), self.modulus
-        if not r0:
+        if not any(a):
             raise ZeroDivisionError("inverse of zero")
-        s0, s1 = (1,), ()
-        while r1:
-            q, r = _poly_divmod(r0, r1, self.p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_trim(tuple(
-                (x - y) % self.p for x, y in itertools.zip_longest(
-                    s0, _poly_mul(q, s1, self.p), fillvalue=0)))
-        # r0 is a nonzero constant gcd
-        c_inv = pow(r0[0], self.p - 2, self.p)
-        return self._pad(_poly_trim(tuple(v * c_inv % self.p for v in s0)))
+        return self._poly_pow(a, self.p ** self.k - 2)
 
     # table lookups that skip zero terms; Field's generic loops above TABLE_MAX
 
@@ -590,29 +565,18 @@ def ensure_size(field: Field, t: int):
     big = ExtensionField(p, k, _find_irreducible(p, k))
     if field.spec.kind == "prime":
         return big, big.from_int
-    # embed GF(p^k_old) by sending x to the first root of the old modulus
-    old_mod = field.spec.modulus
-    root = None
-    for cand in big.elements():
-        acc = big.zero
-        power = big.one
-        for c in old_mod:
-            acc = big.add(acc, big.mul(big.from_int(c), power))
-            power = big.mul(power, cand)
-        if big.is_zero(acc):
-            root = cand
-            break
-    assert root is not None
 
-    def embed(a):
-        acc = big.zero
-        power = big.one
-        for c in a:
+    def evaluate(coeffs, x):
+        """sum_i coeffs[i] x^i in big, for GF(p) coefficients."""
+        acc, power = big.zero, big.one
+        for c in coeffs:
             acc = big.add(acc, big.mul(big.from_int(c), power))
-            power = big.mul(power, root)
+            power = big.mul(power, x)
         return acc
 
-    return big, embed
+    # embed GF(p^k_old) by sending x to the first root of the old modulus
+    root = next(x for x in big.elements() if big.is_zero(evaluate(field.spec.modulus, x)))
+    return big, lambda a: evaluate(a, root)
 
 
 def distinct_elements(field: Field, t: int) -> list:

@@ -259,18 +259,6 @@ class Subspace:
         self._check(other)
         return self.orthogonal().sum(other.orthogonal()).orthogonal()
 
-    def complement(self) -> "Subspace":
-        """Coordinate complement: unit vectors at the non-pivot columns."""
-        f = self.field
-        piv = set(self.pivots)
-        rows = []
-        for j in range(self.ambient_dim):
-            if j not in piv:
-                row = [f.zero] * self.ambient_dim
-                row[j] = f.one
-                rows.append(row)
-        return Subspace(f, self.ambient_dim, rows, _canonical=True)
-
 
 def kernel(m: Mat) -> Subspace:
     """Null space of m, a subspace of F^cols."""
@@ -316,36 +304,19 @@ def solve(a: Mat, targets: list) -> list:
 
 
 def pseudo_inverse(a: Mat) -> Mat:
-    """Nonsingular A' inverting a between im(a) and a complement of ker(a).
+    """Nonsingular A' with a A' a = a, from one RREF of [a | I].
 
-    The complement of ker(a) and the complement of im(a) are the coordinate
-    complements, and the leftover blocks are paired basis vector by basis
-    vector in stored order, so the output is deterministic.
+    The RREF gives P a = R.  Row i of P becomes row c_i of A', c_i the i-th
+    pivot column of R, and the rows of P below the rank fill the free
+    columns in order, so a A' a = sum_i a[:, c_i] R_i = a.
     """
     if a.nrows != a.ncols:
         raise NotSquare("pseudo-inverse needs a square matrix (pad first)")
     n = a.nrows
-    f = a.field
-    ker = kernel(a)
-    im = image(a)
-    dom_comp = ker.complement()           # U, complement of ker(a)
-    im_comp = im.complement()             # U', complement of im(a)
-
-    # restriction of a to U: columns of a at U's unit-vector coordinates
-    u_cols = dom_comp.pivots
-    a_res = Mat(f, [[a.rows[i][j] for j in u_cols] for i in range(n)])
-    im_vecs = [list(r) for r in im.basis]
-    xs = solve(a_res, im_vecs)            # coordinates w.r.t. U basis
-    u_sols = []
-    for x in xs:
-        v = [f.zero] * n
-        for coord, j in zip(x, u_cols):
-            v[j] = coord
-        u_sols.append(v)
-
-    # basis change: columns [im basis | im complement] -> [solutions | ker basis]
-    m_cols = im_vecs + [list(r) for r in im_comp.basis]
-    n_cols = u_sols + [list(r) for r in ker.basis]
-    m_mat = Mat(f, m_cols).transpose()
-    n_mat = Mat(f, n_cols).transpose() if n_cols else Mat.zeros(f, n, 0)
-    return n_mat.matmul(m_mat.inverse())
+    ident = Mat.identity(a.field, n).rows
+    red, pivots = _rref_rows(a.field, [r + e for r, e in zip(a.rows, ident)])
+    order = [c for c in pivots if c < n] + [j for j in range(n) if j not in pivots]
+    out = [None] * n
+    for j, r in zip(order, red):
+        out[j] = r[n:]
+    return Mat(a.field, out)

@@ -119,10 +119,8 @@ def solve_po(inst: PoInstance) -> PoAnswer:
         return PoAnswer(found=False)
 
     prefixes = [u]
-    for h in helpers:
+    for h in helpers[:-1]:
         prefixes.append(h.image_of(prefixes[-1]))
-    if u_prime.contains(prefixes[ell]):
-        return PoAnswer(found=False)
 
     f = d.field
     n = d.nrows

@@ -3,8 +3,8 @@
 The first and second Wong sequences of a pair (a, space) iterate preimages
 of images (resp. images of preimages); their limits characterize the
 largest/smallest fixed subspaces.  The witness test runs the second
-sequence through a pseudo-inverse of a, which keeps rational entry sizes
-bounded and stops as soon as a term leaves im(a).
+sequence itself: a limit inside im(a) gives a cork-witness, and a term
+outside im(a) gives a power overflow instance through a pseudo-inverse of a.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ class WitnessReport:
     witness: Optional[Subspace] = None
     c: int = 0
     stopped_at: Optional[int] = None
-    # when no witness exists, the sequence ran on D = space . A' from
-    # U = ker(a A') out of U' = im(a): the power overflow instance (D, U, U')
+    # when no witness exists: the power overflow instance (D, U, U') and the
+    # index of the first term of the second Wong sequence outside im(a)
     po: Optional[PoInstance] = None
 
 
@@ -62,35 +62,27 @@ def verify_witness(sp: MatSpace, u: Subspace, c: int) -> bool:
 
 
 def witness_test(a: Mat, sp: MatSpace) -> WitnessReport:
-    """Decide whether a cork(a)-singularity witness exists, via a's pseudo-inverse.
+    """Decide whether a cork(a)-singularity witness exists, via the second Wong sequence.
 
-    Iterates W_{i+1} = (space . A')(W_i) from W_1 = (space . A')(ker(a A')),
-    which agrees with the definitional second Wong sequence as long as the
-    terms stay inside im(a).  On stabilization, a is of maximum rank and the
-    full preimage a^{-1}(W*) = A'(W*) + ker(a) is a cork-witness.
+    If every term stays inside im(a), a is of maximum rank and the preimage
+    a^{-1}(W*) of the limit is a cork-witness.  Otherwise, with a pseudo-inverse
+    A', the terms are W_i = D^i(U), i >= 1, for D = space . A' and U = ker(a A')
+    up to the first one outside U' = im(a): the power overflow instance.
     """
     if a.nrows != a.ncols:
         raise NotSquare("witness test needs a square space (pad first)")
     if not sp.contains(a):
         raise NotMember("anchor matrix is not in the space")
     n = a.nrows
-    a_pi = pseudo_inverse(a)
-    ba = MatSpace(sp.field, n, n, [b.matmul(a_pi) for b in sp.gens])
     im_a = image(a)
+    terms = second_wong(a, sp).terms
+    i = next((i for i, w in enumerate(terms) if not im_a.contains(w)), None)
+    if i is not None:
+        a_pi = pseudo_inverse(a)
+        ba = MatSpace(sp.field, n, n, [b.matmul(a_pi) for b in sp.gens])
+        u = kernel(a.matmul(a_pi))
+        return WitnessReport(exists=False, stopped_at=i, po=PoInstance(ba, u, im_a))
     cork = n - im_a.dim
-
-    start = kernel(a.matmul(a_pi))
-    w = ba.image_of(start)
-    i = 1
-    while True:
-        if not im_a.contains(w):
-            return WitnessReport(exists=False, stopped_at=i, po=PoInstance(ba, start, im_a))
-        nxt = ba.image_of(w)
-        if nxt == w:
-            break
-        w = nxt
-        i += 1
-    witness = MatSpace.of(a_pi).image_of(w).sum(kernel(a))
-    report = WitnessReport(exists=True, witness=witness, c=cork)
+    witness = MatSpace.of(a).preimage_of(terms[-1])
     assert verify_witness(sp, witness, cork), "witness failed its own check"
-    return report
+    return WitnessReport(exists=True, witness=witness, c=cork)

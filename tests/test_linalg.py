@@ -74,9 +74,6 @@ def test_subspace_sum_intersect_complement():
     e23 = Subspace.span(GF5, 3, [[0, 1, 0], [0, 0, 1]])
     assert e1.sum(e2) == e12
     assert e12.intersect(e23) == e2
-    comp = e12.complement()
-    assert e12.sum(comp) == Subspace.full(GF5, 3)
-    assert e12.intersect(comp).dim == 0
 
 
 def test_subspace_canonical_equality():

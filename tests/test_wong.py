@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from symrank import (Mat, MatSpace, Subspace, first_wong, second_wong,
-                     verify_witness, witness_test)
+from symrank import (Mat, MatSpace, RationalField, Subspace, distinct_elements,
+                     first_wong, second_wong, verify_witness, witness_test)
 from symrank.errors import NotMember, NotSquare
 from symrank.oracles import sk3
+from symrank.po import solve_po
 from conftest import GF5, GF7, rand_matrix, rand_nonsingular
 
 
@@ -105,3 +106,39 @@ def test_witness_test_input_checks():
     rect = MatSpace.from_spanning([Mat.zeros(GF5, 2, 3)], GF5, 2, 3)
     with pytest.raises(NotSquare):
         witness_test(Mat.zeros(GF5, 2, 3), rect)
+
+
+def _sign_rank_one_space(rng, f, n):
+    """n to 2n matrices u v^T, u and v nonzero with entries in {-1, 0, 1}."""
+    def vec():
+        while True:
+            v = [rng.choice((-1, 0, 1)) for _ in range(n)]
+            if any(v):
+                return v
+    gens = []
+    for _ in range(rng.randint(n, 2 * n)):
+        u, v = vec(), vec()
+        gens.append(Mat.from_ints(f, [[x * y for y in v] for x in u]))
+    return MatSpace.from_spanning(gens, f, n, n)
+
+
+@pytest.mark.parametrize("f", [GF7, RationalField()], ids=["gf7", "q"])
+def test_witness_test_po_instance_raises_rank(f):
+    # without a witness, the PO instance built on the pseudo-inverse has a
+    # solution b, and a + lambda b has a larger rank for one of n + 1 values
+    rng = random.Random(11)
+    ells = []
+    for _ in range(400):
+        n = rng.randint(3, 5)
+        sp = _sign_rank_one_space(rng, f, n)
+        a = sp.element([f.from_int(rng.randint(0, 1)) for _ in range(sp.dim)])
+        rep = witness_test(a, sp)
+        if rep.exists:
+            continue
+        ans = solve_po(rep.po)
+        assert ans.found
+        b = sp.element(ans.coefficients)
+        r = a.rank()
+        assert any(a.add(b.scale(lam)).rank() > r for lam in distinct_elements(f, n + 1))
+        ells.append(ans.ell)
+    assert max(ells) >= 2
