@@ -162,14 +162,14 @@ def cmd_smr(args) -> int:
     }
     if res.witness is not None:
         cert["witness_basis"] = _subspace_json(res.witness)
-        cert["c"] = pad_square(sp).nrows - res.rank
+        cert["c"] = max(sp.nrows, sp.ncols) - res.rank
     return _emit(cert, args.output)
 
 
 def cmd_sdit_tri(args) -> int:
     if args.mod_p:
         int_mats = integer_generators(load_instance(args.instance))
-        report = sdit.rational_sdit(int_mats, prime_budget=args.prime_budget)
+        report = sdit.rational_sdit(int_mats)
         cert = {
             "algorithm": "rational_sdit",
             "status": report.outcome,
@@ -402,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--mod-p", action="store_true",
                    help="integer pipeline via reduction modulo small primes")
-    p.add_argument("--prime-budget", type=int, default=None)
     p.set_defaults(fn=cmd_sdit_tri)
 
     p = sub.add_parser("tri-test", help="triangularizability given a nonsingular pivot")

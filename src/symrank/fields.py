@@ -84,20 +84,15 @@ def _poly_irreducible(m: tuple[int, ...], p: int) -> bool:
     return True
 
 
+def _counting(p: int, k: int) -> Iterator[tuple[int, ...]]:
+    """All coefficient k-tuples over GF(p) in counting order: the constant
+    coefficient varies fastest (degree-lex)."""
+    return (t[::-1] for t in itertools.product(range(p), repeat=k))
+
+
 def _find_irreducible(p: int, k: int) -> tuple[int, ...]:
     """First monic irreducible of degree k over GF(p) in counting order."""
-    if k == 1:
-        return (0, 1)
-    for low in range(p ** k):
-        coeffs = []
-        v = low
-        for _ in range(k):
-            coeffs.append(v % p)
-            v //= p
-        cand = tuple(coeffs) + (1,)
-        if _poly_irreducible(cand, p):
-            return cand
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    return next(c + (1,) for c in _counting(p, k) if _poly_irreducible(c + (1,), p))
 
 
 # ---------------------------------------------------------------------------
@@ -435,14 +430,7 @@ class ExtensionField(Field):
         return self._pad((i % self.p,))
 
     def elements(self) -> Iterator[tuple[int, ...]]:
-        # counting order: constant coefficient varies fastest (degree-lex)
-        for low in range(self.p ** self.k):
-            coeffs = []
-            v = low
-            for _ in range(self.k):
-                coeffs.append(v % self.p)
-                v //= self.p
-            yield tuple(coeffs)
+        return _counting(self.p, self.k)
 
     def scalar_to_json(self, a):
         return list(a)

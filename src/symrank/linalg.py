@@ -205,10 +205,6 @@ class Subspace:
         return Subspace(field, ambient_dim,
                         Mat.identity(field, ambient_dim).rows, _canonical=True)
 
-    @staticmethod
-    def span(field: Field, ambient_dim: int, vectors) -> "Subspace":
-        return Subspace(field, ambient_dim, vectors)
-
     # -- basics -------------------------------------------------------------
 
     @property

@@ -52,11 +52,9 @@ def find_ell(inst: PoInstance):
     """Smallest j <= n with D^j(U) not inside U', plus [I_0, ..., I_(j-1)].
 
     I_0 = U and I_k = D(I_(k-1)) = D^k(U).  Returns (None, [I_0, ..., I_n])
-    when D^n(U) stays inside U'.
+    when D^n(U) stays inside U', which includes D = 0: then I_k = 0 for k >= 1.
     """
     d, u, u_prime = inst.d, inst.u, inst.u_prime
-    if d.is_zero():
-        return None, []
     images = [u]
     for j in range(1, d.nrows + 1):
         nxt = d.image_of(images[-1])
@@ -73,17 +71,19 @@ def helpful_subspaces(inst: PoInstance, ell: int,
     H_i is the set of X in D with X(I_(j-1)) inside P_(ell-j) for all j != i,
     where I_k are find_ell's images and P_0 = U', P_k = D^-1(P_(k-1)): an
     element at any position j != i of a length-ell product still maps U
-    into U'.  Position j contributes the rows [v . (B w) for B in D's basis]
-    for w in I_(j-1)'s basis and v in the basis of P_(ell-j)'s orthogonal.
+    into U'.  The orthogonals are images under the transpose space,
+    P_0^perp = U'^perp and P_k^perp = D^T(P_(k-1)^perp).  Position j
+    contributes the rows [v . (B w) for B in D's basis] for w in I_(j-1)'s
+    basis and v in the basis of P_(ell-j)^perp.
     """
     d, u_prime = inst.d, inst.u_prime
     f = d.field
-    pre = [u_prime]
+    perps = [u_prime.orthogonal()]
     for _ in range(ell - 1):
-        pre.append(d.preimage_of(pre[-1]))
+        perps.append(d.transpose_space().image_of(perps[-1]))
     eqs = []
     for j in range(1, ell + 1):
-        perp = pre[ell - j].orthogonal()
+        perp = perps[ell - j]
         rows = []
         for w in images[j - 1].basis:
             moved = Mat(f, [g.apply(w) for g in d.gens])  # row k is B_k w
@@ -115,8 +115,6 @@ def solve_po(inst: PoInstance) -> PoAnswer:
     if ell is None:
         return PoAnswer(found=False)
     helpers = helpful_subspaces(inst, ell, images)
-    if any(h.is_zero() for h in helpers):
-        return PoAnswer(found=False)
 
     prefixes = [u]
     for h in helpers[:-1]:
@@ -125,7 +123,6 @@ def solve_po(inst: PoInstance) -> PoAnswer:
     f = d.field
     n = d.nrows
     suffix = Mat.identity(f, n)
-    total = Mat.zeros(f, n, n)
     coords = [f.zero] * d.dim
     for i in range(ell, 0, -1):
         h = helpers[i - 1]
@@ -136,7 +133,7 @@ def solve_po(inst: PoInstance) -> PoAnswer:
         else:
             return PoAnswer(found=False)
         suffix = trial
-        total = total.add(g)
         coords = [f.add(x, y) for x, y in zip(coords, c)]
-    assert _power_escapes(total, ell, u, u_prime), "power overflow check failed"
-    return PoAnswer(found=True, d=total, ell=ell, coefficients=coords)
+    x = d.element(coords)
+    assert _power_escapes(x, ell, u, u_prime), "power overflow check failed"
+    return PoAnswer(found=True, d=x, ell=ell, coefficients=coords)

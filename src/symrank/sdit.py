@@ -33,13 +33,6 @@ class TriOutcome:
 
 def _tri(mats: list[Mat], n: int, field) -> TriOutcome:
     m = len(mats)
-    if n == 1:
-        for i, b in enumerate(mats):
-            if not b.is_zero():
-                coeffs = [field.one if j == i else field.zero for j in range(m)]
-                return TriOutcome("nonsingular", coefficients=coeffs)
-        return TriOutcome("witness", witness=Subspace.full(field, 1))
-
     ck = kernel(Mat(field, [r for b in mats for r in b.rows]))  # common kernel
     if ck.dim > 0:
         return TriOutcome("witness", witness=ck)
@@ -47,7 +40,7 @@ def _tri(mats: list[Mat], n: int, field) -> TriOutcome:
     span = MatSpace.from_spanning(mats)
     limits = [first_wong(b, span).limit for b in mats]
     for u_star in limits:
-        if span.image_of(u_star).dim < u_star.dim:
+        if verify_witness(span, u_star, 1):
             return TriOutcome("witness", witness=u_star)
     j = next((i for i, u in enumerate(limits) if u.dim > 0), None)
     if j is None:
@@ -60,11 +53,12 @@ def _tri(mats: list[Mat], n: int, field) -> TriOutcome:
     else:
         bu = span.image_of(u_star)           # same dimension as u_star here
         # quotient maps F^n -> F^n/U*: their kernels are U* and B(U*)
-        p = u_star.orthogonal().basis_matrix()
+        perp = u_star.orthogonal()
+        p = perp.basis_matrix()
         q = bu.orthogonal().basis_matrix()
         # right inverse of p, which is in RREF: the identity's columns at its pivots
         unit = Mat.identity(field, n).rows
-        r = Mat(field, [unit[row.index(field.one)] for row in p.rows]).transpose()
+        r = Mat(field, [unit[c] for c in perp.pivots]).transpose()
         induced = [q.matmul(b).matmul(r) for b in mats]
         sub = _tri(induced, n - u_star.dim, field)
 
@@ -121,11 +115,12 @@ def is_triangularizable_with_nonsingular(sp: MatSpace, s: Mat) -> bool:
     n = sp.nrows
     if sp.nrows != sp.ncols:
         raise NotSquare("triangularizability is defined for square spaces")
-    if s.rank() < n:
-        raise SingularS("pivot matrix must be nonsingular")
+    try:
+        s_inv = s.inverse()
+    except ZeroDivisionError:
+        raise SingularS("pivot matrix must be nonsingular") from None
     if not sp.contains(s):
         raise NotMember("pivot matrix is not in the space")
-    s_inv = s.inverse()
     a_space = MatSpace.from_spanning(
         [b.matmul(s_inv) for b in sp.gens] + [Mat.identity(sp.field, n)])
     comms = a_space.commutator_space()
@@ -181,14 +176,14 @@ def integer_nonsingular(int_mats: list[list[list[int]]], ints: list[int]) -> boo
                      for rows in zip(*int_mats)]) != 0
 
 
-def rational_sdit(int_mats: list[list[list[int]]],
-                  prime_budget: Optional[int] = None) -> RationalSditReport:
+def rational_sdit(int_mats: list[list[list[int]]]) -> RationalSditReport:
     """Mod-p reduction pipeline for integer generator matrices.
 
-    Tries ascending primes p > n whose product exceeds a Hadamard-style
-    bound on |det| of any combination with coefficients in {0..n}; a
-    nonsingular mod-p combination is accepted only after its integer
-    determinant is verified nonzero exactly.
+    Takes ascending primes p > n until their product exceeds a Hadamard-style
+    bound on |det| of any combination with coefficients in {0..n}, and tries
+    them in that order; a nonsingular mod-p combination is accepted only after
+    its integer determinant is verified nonzero exactly.  primes_tried is the
+    prefix of those primes up to the one that succeeded, or all of them.
     """
     if not int_mats:
         raise EmptySpace("no generators to combine")
@@ -200,16 +195,12 @@ def rational_sdit(int_mats: list[list[list[int]]],
     primes = []
     acc = 1
     for p in _primes_above(n):
-        if prime_budget is not None and p > prime_budget:
-            break
         primes.append(p)
         acc *= p
         if acc > bound:
             break
 
-    tried = []
-    for p in primes:
-        tried.append(p)
+    for i, p in enumerate(primes):
         gf = PrimeField(p)
         mats = [Mat.from_ints(gf, mat) for mat in int_mats]
         # unpruned, so coefficient positions stay those of int_mats
@@ -220,5 +211,5 @@ def rational_sdit(int_mats: list[list[list[int]]],
         if integer_nonsingular(int_mats, ints):
             return RationalSditReport("nonsingular_combination", prime_used=p,
                                       integer_coefficients=ints,
-                                      primes_tried=tried, bound_used=bound)
-    return RationalSditReport("inconclusive", primes_tried=tried, bound_used=bound)
+                                      primes_tried=primes[:i + 1], bound_used=bound)
+    return RationalSditReport("inconclusive", primes_tried=primes, bound_used=bound)

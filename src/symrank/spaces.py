@@ -119,8 +119,6 @@ class MatSpace:
         if w.ambient_dim != self.nrows:
             raise DimMismatch(f"subspace lives in F^{w.ambient_dim}, "
                               f"matrices map into F^{self.nrows}")
-        if not self.gens:
-            return Subspace.full(self.field, self.ncols)
         return self.transpose_space().image_of(w.orthogonal()).orthogonal()
 
     # -- products and algebras ----------------------------------------------

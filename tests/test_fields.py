@@ -101,6 +101,18 @@ def test_ensure_size_extension_base():
         assert embed(f.add(a, b)) == big.add(embed(a), embed(b))
 
 
+def test_counting_order():
+    f = ExtensionField(3, 2, _find_irreducible(3, 2))
+    assert list(f.elements()) == [(a % 3, a // 3) for a in range(9)]
+    expected = {(2, 1): (0, 1), (2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1),
+                (2, 4): (1, 1, 0, 0, 1), (2, 5): (1, 0, 1, 0, 0, 1),
+                (3, 1): (0, 1), (3, 2): (1, 0, 1), (3, 3): (1, 2, 0, 1),
+                (5, 2): (2, 0, 1), (5, 3): (1, 1, 0, 1), (7, 2): (1, 0, 1),
+                (101, 2): (2, 0, 1)}
+    for (p, k), modulus in expected.items():
+        assert _find_irreducible(p, k) == modulus
+
+
 def test_distinct_elements():
     assert distinct_elements(PrimeField(7), 3) == [0, 1, 2]
     assert distinct_elements(RationalField(), 4) == [Fraction(i) for i in range(4)]

@@ -49,8 +49,8 @@ def test_det_and_inverse():
 
 def test_kernel_image_basic():
     d = Mat.from_ints(GF5, [[1, 0], [0, 0]])
-    assert kernel(d) == Subspace.span(GF5, 2, [[0, 1]])
-    assert image(d) == Subspace.span(GF5, 2, [[1, 0]])
+    assert kernel(d) == Subspace(GF5, 2, [[0, 1]])
+    assert image(d) == Subspace(GF5, 2, [[1, 0]])
     z = Mat.zeros(GF5, 2, 3)
     assert kernel(z) == Subspace.full(GF5, 3)
     assert image(z) == Subspace.zero(GF5, 2)
@@ -68,18 +68,18 @@ def test_rank_nullity_random():
 
 
 def test_subspace_sum_intersect_complement():
-    e1 = Subspace.span(GF5, 3, [[1, 0, 0]])
-    e2 = Subspace.span(GF5, 3, [[0, 1, 0]])
-    e12 = Subspace.span(GF5, 3, [[1, 0, 0], [0, 1, 0]])
-    e23 = Subspace.span(GF5, 3, [[0, 1, 0], [0, 0, 1]])
+    e1 = Subspace(GF5, 3, [[1, 0, 0]])
+    e2 = Subspace(GF5, 3, [[0, 1, 0]])
+    e12 = Subspace(GF5, 3, [[1, 0, 0], [0, 1, 0]])
+    e23 = Subspace(GF5, 3, [[0, 1, 0], [0, 0, 1]])
     assert e1.sum(e2) == e12
     assert e12.intersect(e23) == e2
 
 
 def test_subspace_canonical_equality():
     # different spanning sets, same subspace, equal canonical bases
-    u = Subspace.span(GF7, 3, [[1, 2, 3], [4, 5, 6]])
-    v = Subspace.span(GF7, 3, [[5, 0, 2], [0, 3, 6], [1, 2, 3]])
+    u = Subspace(GF7, 3, [[1, 2, 3], [4, 5, 6]])
+    v = Subspace(GF7, 3, [[5, 0, 2], [0, 3, 6], [1, 2, 3]])
     assert (u == v) == (u.contains(v) and v.contains(u))
 
 
@@ -97,7 +97,7 @@ def test_orthogonal_dimensions():
 
 def test_orthogonal_basis_is_quotient_map():
     # the rows of U's orthogonal map F^n onto F^(n - dim U) with kernel U
-    u = Subspace.span(GF5, 3, [[1, 0, 0]])
+    u = Subspace(GF5, 3, [[1, 0, 0]])
     p = u.orthogonal().basis_matrix()
     assert p.nrows == 2 and p.ncols == 3
     assert all(GF5.is_zero(e) for v in u.basis for e in p.apply(v))

@@ -14,8 +14,8 @@ def jordan_instance():
         Mat.from_ints(GF5, [[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
         Mat.from_ints(GF5, [[0, 0, 0], [0, 0, 1], [0, 0, 0]]),
     ])
-    u = Subspace.span(GF5, 3, [[0, 0, 1]])
-    u_prime = Subspace.span(GF5, 3, [[0, 1, 0], [0, 0, 1]])
+    u = Subspace(GF5, 3, [[0, 0, 1]])
+    u_prime = Subspace(GF5, 3, [[0, 1, 0], [0, 0, 1]])
     return PoInstance(d, u, u_prime)
 
 
@@ -27,7 +27,7 @@ def test_find_ell_jordan():
 
 def test_find_ell_none():
     d = MatSpace.from_spanning([Mat.from_ints(GF5, [[1, 0], [0, 0]])])
-    u = Subspace.span(GF5, 2, [[1, 0]])
+    u = Subspace(GF5, 2, [[1, 0]])
     ell, _ = find_ell(PoInstance(d, u, u))
     assert ell is None
 
@@ -45,7 +45,7 @@ def test_helpful_subspaces_jordan():
 def test_helpful_subspaces_ell_one_is_whole_space():
     d = MatSpace.from_spanning([Mat.identity(GF5, 2),
                                 Mat.from_ints(GF5, [[0, 1], [0, 0]])])
-    u = Subspace.span(GF5, 2, [[0, 1]])
+    u = Subspace(GF5, 2, [[0, 1]])
     u_prime = Subspace.zero(GF5, 2)
     inst = PoInstance(d, u, u_prime)
     ell, traces = find_ell(inst)
@@ -63,9 +63,24 @@ def test_solve_po_jordan():
 
 def test_solve_po_no_escape():
     d = MatSpace.from_spanning([Mat.from_ints(GF5, [[1, 0], [0, 0]])])
-    u = Subspace.span(GF5, 2, [[1, 0]])
+    u = Subspace(GF5, 2, [[1, 0]])
     ans = solve_po(PoInstance(d, u, u))
     assert not ans.found
+    # D = 0: every power maps U to 0, inside U'
+    zero = MatSpace(GF5, 2, 2, [])
+    assert not solve_po(PoInstance(zero, u, Subspace.zero(GF5, 2))).found
+
+
+def test_solve_po_empty_helpers():
+    # one Jordan block J = E12 + E23: J^2(e3) = e1 leaves U' = <e2, e3>, but
+    # in the one-dimensional D = <J> no element helps at just one position
+    d = MatSpace.of(Mat.from_ints(GF5, [[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
+    inst = PoInstance(d, Subspace(GF5, 3, [[0, 0, 1]]),
+                      Subspace(GF5, 3, [[0, 1, 0], [0, 0, 1]]))
+    ell, images = find_ell(inst)
+    assert ell == 2
+    assert [h.dim for h in helpful_subspaces(inst, ell, images)] == [0, 0]
+    assert not solve_po(inst).found
 
 
 def brute_po(inst):

@@ -46,6 +46,10 @@ def test_tri_algo_one_by_one():
     assert out.kind == "nonsingular"
     zero = tri_algo(MatSpace.of(Mat.zeros(GF5, 1, 1)))
     assert zero.kind == "witness" and zero.witness.dim == 1
+    # unpruned: the zero generator keeps its position
+    for f, c in ((PrimeField(2), 1), (RationalField(), 3)):
+        out = tri_algo(MatSpace(f, 1, 1, [Mat.zeros(f, 1, 1), Mat.from_ints(f, [[c]])]))
+        assert out.kind == "nonsingular" and out.coefficients == [0, 1]
 
 
 def test_tri_algo_common_kernel():

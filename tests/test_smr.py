@@ -44,7 +44,7 @@ def test_smr_diagonal_pair():
     res = smr(sp)
     assert res.status == "max_rank_found"
     assert res.rank == 2
-    assert res.witness == Subspace.span(GF7, 3, [[0, 0, 1]])
+    assert res.witness == Subspace(GF7, 3, [[0, 0, 1]])
     assert check_result(sp, res)
 
 

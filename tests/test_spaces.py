@@ -46,7 +46,7 @@ def test_preimage_of():
     sp = MatSpace.from_spanning([e(GF5, 2, 0, 0), e(GF5, 2, 1, 1)])
     assert sp.preimage_of(Subspace.full(GF5, 2)) == Subspace.full(GF5, 2)
     ident = MatSpace.from_spanning([Mat.identity(GF5, 3)])
-    w = Subspace.span(GF5, 3, [[1, 2, 0]])
+    w = Subspace(GF5, 3, [[1, 2, 0]])
     assert ident.preimage_of(w) == w
 
 

@@ -58,14 +58,14 @@ def test_wong_duality():
 def test_verify_witness_edges():
     sp = MatSpace.from_spanning([Mat.from_ints(GF5, [[1, 0], [0, 0]])])
     assert verify_witness(sp, Subspace.zero(GF5, 2), 0)
-    assert verify_witness(sp, Subspace.span(GF5, 2, [[0, 1]]), 1)
+    assert verify_witness(sp, Subspace(GF5, 2, [[0, 1]]), 1)
     assert not verify_witness(sp, Subspace.full(GF5, 2), 2)
 
 
 def test_sk3_has_no_witness():
     sp = sk3(GF5)
-    for u in (Subspace.span(GF5, 3, [[1, 0, 0]]),
-              Subspace.span(GF5, 3, [[1, 0, 0], [0, 1, 0]]),
+    for u in (Subspace(GF5, 3, [[1, 0, 0]]),
+              Subspace(GF5, 3, [[1, 0, 0], [0, 1, 0]]),
               Subspace.full(GF5, 3)):
         assert not verify_witness(sp, u, 1)
 
