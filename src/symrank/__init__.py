@@ -16,9 +16,8 @@ from .po import PoAnswer, PoInstance, find_ell, helpful_subspaces, solve_po
 from .smr import SmrResult, pad_square, reduce_coefficients, smr, smr_rank_only
 from .sdit import (RationalSditReport, TriOutcome,
                    is_triangularizable_with_nonsingular, rational_sdit, tri_algo)
-from .oracles import (OracleReport, blackbox_greedy, brute_disc, brute_max_rank,
-                      is_compression, oracle_report, sk3, strict_upper_embed,
-                      yz_lift, yz_lift_shifted)
+from .oracles import (blackbox_greedy, brute_disc, brute_max_rank, sk3,
+                      strict_upper_embed, yz_lift, yz_lift_shifted)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ import math
 import sys
 
 from . import oracles, sdit
-from .smr import certified_status, check_claim, pad_square, working_space
+from .smr import SmrResult, check_claim, pad_square, working_space
 from .smr import smr as run_smr
 from .errors import SymrankError
 from .fields import ExtensionField, FieldSpec, PrimeField, _find_irreducible, \
@@ -40,6 +40,8 @@ def parse_field_name(name: str):
         if "^" in body:
             p_s, k_s = body.split("^")
             p, k = int(p_s), int(k_s)
+            if k < 1:
+                raise ValueError(f"extension degree must be at least 1, got {k}")
             return ExtensionField(p, k, _find_irreducible(p, k))
         return PrimeField(int(body))
     raise ValueError(f"unknown field name {name!r}")
@@ -51,6 +53,8 @@ def load_instance(path: str) -> MatSpace:
     field = make_field(FieldSpec.from_json(data["field"]))
     n = _json_int(data["n"])
     n_cols = _json_int(data.get("n_cols", n))
+    if n < 0 or n_cols < 0:
+        raise ValueError(f"negative matrix size {n} x {n_cols}")
     gens = []
     for mat in _json_typed(data["basis"], list, "a basis"):
         m = Mat(field, _scalar_rows(field, mat, "a basis matrix"))
@@ -217,7 +221,7 @@ def wong_certificate(sp: MatSpace, anchor, kind) -> dict:
     trace = (first_wong if kind == "first" else second_wong)(_generator(sp, anchor), sp)
     return {
         "algorithm": "wong",
-        "kind": trace.kind,
+        "kind": kind,
         "anchor": anchor,
         "terms": [_subspace_json(t) for t in trace.terms],
         "limit": _subspace_json(trace.limit),
@@ -242,16 +246,18 @@ def po_certificate(sp: MatSpace, u: Subspace, u_prime: Subspace) -> dict:
 
 
 def oracle_certificate(sp: MatSpace, budget: int = oracles.DEFAULT_BUDGET) -> dict:
-    report = oracles.oracle_report(sp, budget=budget)
+    rank, coeffs = oracles.brute_max_rank(sp, budget)
+    disc, witness = oracles.brute_disc(sp, budget)
     f = sp.field
+    card = f.cardinality()
     return {
         "algorithm": "oracle",
-        "max_rank": report.max_rank,
-        "disc": report.disc,
-        "argmax_coefficients": _coeffs_json(f, report.argmax_coefficients),
-        "argmax_witness": _subspace_json(report.argmax_witness),
-        "enumerated_elements": report.enumerated_elements,
-        "enumerated_subspaces": report.enumerated_subspaces,
+        "max_rank": rank,
+        "disc": disc,
+        "argmax_coefficients": _coeffs_json(f, coeffs),
+        "argmax_witness": _subspace_json(witness),
+        "enumerated_elements": card ** sp.dim,
+        "enumerated_subspaces": oracles.count_subspaces(sp.ncols, card),
         "working_field": f.spec.to_json(),
     }
 
@@ -279,19 +285,17 @@ def cmd_oracle(args) -> int:
 def cmd_gallery(args) -> int:
     name = args.name.replace("-", "_")
     if name == "sk3":
-        field = parse_field_name(args.field)
-        sp = oracles.sk3(field)
+        sp = oracles.sk3(parse_field_name(args.field))
+    elif name not in ("strict_upper_embed", "yz_lift", "yz_lift_shifted"):
+        raise ValueError(f"unknown gallery name {args.name!r}")
+    elif args.base is None:
+        raise ValueError(f"gallery {args.name} needs --base")
+    elif name == "strict_upper_embed":
+        sp = oracles.strict_upper_embed(load_instance(args.base))
     else:
         base = load_instance(args.base)
-        if name == "strict_upper_embed":
-            sp = oracles.strict_upper_embed(base)
-        elif name in ("yz_lift", "yz_lift_shifted"):
-            a = Mat.identity(base.field, max(base.nrows, base.ncols))
-            padded = pad_square(base)
-            fn = oracles.yz_lift if name == "yz_lift" else oracles.yz_lift_shifted
-            sp = fn(padded, a)
-        else:
-            raise ValueError(f"unknown gallery name {args.name!r}")
+        fn = oracles.yz_lift if name == "yz_lift" else oracles.yz_lift_shifted
+        sp = fn(pad_square(base), Mat.identity(base.field, max(base.nrows, base.ncols)))
     save_instance(sp, args.output)
     return 0
 
@@ -322,17 +326,20 @@ def verify_certificate(sp: MatSpace, cert: dict) -> bool:
 
     if algo == "smr":
         space = working_space(sp, FieldSpec.from_json(cert["working_field"]))
-        rank = _json_int(cert["rank"])
-        if status == "failed_po":
-            return check_claim(space, _coefficients(space.field.scalar_from_json, cert), rank)
-        if _json_int(cert["c"]) != space.nrows - rank:
-            return False
-        if status != certified_status(sp.field, space.field):
-            return False
         wf = space.field
+        rank = _json_int(cert["rank"])
+        witness = None
+        if status != "failed_po":
+            if _json_int(cert["c"]) != space.nrows - rank:
+                return False
+            witness = _subspace_from_json(wf, space.ncols, cert["witness_basis"])
         coeffs = _coefficients(wf.scalar_from_json, cert)
-        witness = _subspace_from_json(wf, space.ncols, cert["witness_basis"])
-        return check_claim(space, coeffs, rank, witness)
+        return check_claim(sp, space, SmrResult(status, coeffs, rank, witness, wf.spec))
+
+    if algo in ("tri_algo", "rational_sdit") or (algo, status) == ("po", "found"):
+        # the other certificates are rebuilt, working field included
+        if FieldSpec.from_json(cert["working_field"]) != sp.field.spec:
+            raise ValueError("certificate working field does not match the instance")
 
     if algo == "tri_algo":
         f = sp.field

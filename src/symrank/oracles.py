@@ -9,8 +9,7 @@ pivot pattern.  They refuse (BudgetExceeded) rather than truncate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import BudgetExceeded, FieldTooSmall, NotSquare
 from .fields import Field, distinct_elements
@@ -18,16 +17,6 @@ from .linalg import Mat, Subspace
 from .spaces import MatSpace
 
 DEFAULT_BUDGET = 10 ** 7
-
-
-@dataclass
-class OracleReport:
-    max_rank: int
-    disc: int
-    argmax_coefficients: list
-    argmax_witness: Subspace
-    enumerated_elements: int
-    enumerated_subspaces: int
 
 
 def brute_max_rank(sp: MatSpace, budget: int = DEFAULT_BUDGET):
@@ -101,23 +90,6 @@ def brute_disc(sp: MatSpace, budget: int = DEFAULT_BUDGET):
             best = val
             witness = u
     return best, witness
-
-
-def oracle_report(sp: MatSpace, budget: int = DEFAULT_BUDGET) -> OracleReport:
-    rank, coeffs = brute_max_rank(sp, budget)
-    disc, witness = brute_disc(sp, budget)
-    card = sp.field.cardinality()
-    return OracleReport(max_rank=rank, disc=disc, argmax_coefficients=coeffs,
-                        argmax_witness=witness,
-                        enumerated_elements=card ** sp.dim,
-                        enumerated_subspaces=count_subspaces(sp.ncols, card))
-
-
-def is_compression(sp: MatSpace, budget: int = DEFAULT_BUDGET) -> bool:
-    """disc equals cork, both by brute force."""
-    rank, _ = brute_max_rank(sp, budget)
-    disc, _ = brute_disc(sp, budget)
-    return disc == sp.ncols - rank
 
 
 # ---------------------------------------------------------------------------

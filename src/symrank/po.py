@@ -35,7 +35,6 @@ class HelperSpace(MatSpace):
 @dataclass
 class PoAnswer:
     found: bool
-    d: Optional[Mat] = None
     ell: Optional[int] = None
     coefficients: Optional[list] = None
 
@@ -136,4 +135,4 @@ def solve_po(inst: PoInstance) -> PoAnswer:
         coords = [f.add(x, y) for x, y in zip(coords, c)]
     x = d.element(coords)
     assert _power_escapes(x, ell, u, u_prime), "power overflow check failed"
-    return PoAnswer(found=True, d=x, ell=ell, coefficients=coords)
+    return PoAnswer(found=True, ell=ell, coefficients=coords)

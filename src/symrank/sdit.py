@@ -37,7 +37,7 @@ def _tri(mats: list[Mat], n: int, field) -> TriOutcome:
     if ck.dim > 0:
         return TriOutcome("witness", witness=ck)
 
-    span = MatSpace.from_spanning(mats)
+    span = MatSpace(field, n, n, mats)  # unpruned, so coefficients index mats
     limits = [first_wong(b, span).limit for b in mats]
     for u_star in limits:
         if verify_witness(span, u_star, 1):
@@ -67,7 +67,7 @@ def _tri(mats: list[Mat], n: int, field) -> TriOutcome:
         if sub.kind == "fail":
             return TriOutcome("fail")
 
-    e = MatSpace(field, n, n, mats).element(sub.coefficients)
+    e = span.element(sub.coefficients)
     lam_set = distinct_elements(field, n + 1)
     for lam in lam_set:
         for mu in lam_set:
@@ -94,7 +94,7 @@ def tri_algo(sp: MatSpace) -> TriOutcome:
     if sp.nrows != sp.ncols:
         raise NotSquare("SDIT is defined for square spaces")
     if sp.dim == 0:
-        raise NotSquare("empty generator list")
+        raise EmptySpace("empty generator list")
     n = sp.nrows
     card = sp.field.cardinality()
     if card is not None and card < n + 1:

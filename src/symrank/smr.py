@@ -25,7 +25,6 @@ from .wong import verify_witness, witness_test
 class SmrResult:
     status: str                      # max_rank_found | non_constructive_rank | failed_po
     coefficients: list
-    matrix: Mat
     rank: int
     witness: Optional[Subspace]
     working_field: FieldSpec
@@ -113,12 +112,12 @@ def smr(sp: MatSpace) -> SmrResult:
     for _ in range(n + 1):
         report = witness_test(a, work)
         if report.exists:
-            return SmrResult(certified_status(sp.field, f), coeffs, a, r,
+            return SmrResult(certified_status(sp.field, f), coeffs, r,
                              report.witness, f.spec, ranks)
 
         answer = solve_po(report.po)
         if not answer.found:
-            return SmrResult("failed_po", coeffs, a, r, None, f.spec, ranks)
+            return SmrResult("failed_po", coeffs, r, None, f.spec, ranks)
 
         b = work.element(answer.coefficients)
         for lam in lambdas:
@@ -127,7 +126,7 @@ def smr(sp: MatSpace) -> SmrResult:
             if cand_rank > r:
                 break
         else:
-            return SmrResult("failed_po", coeffs, a, r, None, f.spec, ranks)
+            return SmrResult("failed_po", coeffs, r, None, f.spec, ranks)
         a, r = cand, cand_rank
         coeffs = [f.add(c, f.mul(lam, bc)) for c, bc in zip(coeffs, answer.coefficients)]
         if rational:
@@ -160,21 +159,19 @@ def certified_status(base: Field, working: Field) -> str:
     return "max_rank_found" if working.spec == base.spec else "non_constructive_rank"
 
 
-def check_claim(space: MatSpace, coefficients: list, rank: int,
-                witness: Optional[Subspace] = None) -> bool:
-    """The SMR claim on a working space: the combination has rank `rank`,
-    and the witness has discrepancy at least n - rank, so no element has more.
-    Without a witness (failed_po) the claim is only that lower bound."""
-    return (space.element(coefficients).rank() == rank
-            and (witness is None or verify_witness(space, witness, space.nrows - rank)))
+def check_claim(sp: MatSpace, space: MatSpace, res: SmrResult) -> bool:
+    """The claim of an SMR result on sp's working space `space`: the
+    combination has rank res.rank, and the witness has discrepancy at least
+    n - rank, so no element has more.  A result without a witness is
+    failed_po and claims only that lower bound; one with a witness has the
+    status certified_status gives for the working field."""
+    status = "failed_po" if res.witness is None else certified_status(sp.field, space.field)
+    return (res.status == status
+            and space.element(res.coefficients).rank() == res.rank
+            and (res.witness is None
+                 or verify_witness(space, res.witness, space.nrows - res.rank)))
 
 
 def check_result(sp: MatSpace, res: SmrResult) -> bool:
     """Re-verify a result against the (padded) space."""
-    space = working_space(sp, res.working_field)
-    if res.witness is None:
-        return (res.status == "failed_po"
-                and check_claim(space, res.coefficients, res.rank))
-    return (res.status == certified_status(sp.field, space.field)
-            and space.element(res.coefficients) == res.matrix
-            and check_claim(space, res.coefficients, res.rank, res.witness))
+    return check_claim(sp, working_space(sp, res.working_field), res)

@@ -20,9 +20,11 @@ from .spaces import MatSpace, run_to_fixpoint
 
 @dataclass
 class WongTrace:
-    kind: str                  # "first" | "second"
     terms: list[Subspace]      # strictly monotone, last term is the limit
-    limit: Subspace
+
+    @property
+    def limit(self) -> Subspace:
+        return self.terms[-1]
 
 
 def first_wong(a: Mat, sp: MatSpace) -> WongTrace:
@@ -32,7 +34,7 @@ def first_wong(a: Mat, sp: MatSpace) -> WongTrace:
     a_sp = MatSpace.of(a)
     terms = run_to_fixpoint(lambda u: sp.preimage_of(a_sp.image_of(u)),
                             Subspace.full(a.field, a.ncols))
-    return WongTrace("first", terms, terms[-1])
+    return WongTrace(terms)
 
 
 def second_wong(a: Mat, sp: MatSpace) -> WongTrace:
@@ -42,7 +44,7 @@ def second_wong(a: Mat, sp: MatSpace) -> WongTrace:
     a_sp = MatSpace.of(a)
     terms = run_to_fixpoint(lambda w: sp.image_of(a_sp.preimage_of(w)),
                             Subspace.zero(a.field, a.nrows))
-    return WongTrace("second", terms, terms[-1])
+    return WongTrace(terms)
 
 
 @dataclass

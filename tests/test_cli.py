@@ -227,6 +227,23 @@ def test_verify_rejects_foreign_working_field(tmp_path, capsys, diag_instance):
     assert "working field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, instance", [
+    (["gallery", "yz_lift"], None),
+    (["gallery", "yz_lift_shifted"], None),
+    (["gallery", "strict_upper_embed"], None),
+    (["gallery", "sk3", "--field", "gf2^0"], None),
+    (["oracle"], {"field": {"kind": "prime", "p": 5}, "n": -1, "basis": []}),
+    (["oracle"], {"field": {"kind": "prime", "p": 5}, "n": 2, "n_cols": -1, "basis": []}),
+], ids=["yz-lift-without-base", "yz-lift-shifted-without-base",
+        "strict-upper-embed-without-base", "degree-zero-extension", "negative-n",
+        "negative-n-cols"])
+def test_input_errors_exit_1(tmp_path, capsys, argv, instance):
+    if instance is not None:
+        argv = argv + [write_json(tmp_path / "inst.json", instance)]
+    assert main(argv + ["-o", str(tmp_path / "out.json")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_instance_round_trip_identical(tmp_path):
     a = str(tmp_path / "a.json")
     b = str(tmp_path / "b.json")
@@ -361,6 +378,11 @@ TAMPER_CASES = [
     *(_tamper(cmd, _set(working_field={"kind": "prime", "p": 11}), 2, "working-field")
       for cmd in ("wong", "tri-test")),
     _tamper("oracle", _bump("max_rank"), 2, "max-rank-plus-one"),   # control
+    # a checked claim holds over the instance's own field only
+    *(_tamper(cmd, _set(working_field={"kind": "prime", "p": 11}), 1, "foreign-working-field")
+      for cmd in ("sdit-tri-nonsingular", "sdit-tri-witness", "sdit-tri-mod-p", "po")),
+    _tamper("sdit-tri-nonsingular", _set(working_field="junk"), 1, "string-working-field"),
+    _tamper("po", _set(working_field={"kind": "rational"}), 1, "rational-working-field"),
 ]
 
 

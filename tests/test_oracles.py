@@ -6,9 +6,9 @@ import pytest
 
 from symrank import Mat, MatSpace, PrimeField, Subspace
 from symrank.errors import BudgetExceeded
+from symrank.cli import oracle_certificate
 from symrank.oracles import (blackbox_greedy, brute_disc, brute_max_rank,
-                             count_subspaces, enumerate_subspaces,
-                             is_compression, oracle_report, sk3,
+                             count_subspaces, enumerate_subspaces, sk3,
                              strict_upper_embed, yz_lift, yz_lift_shifted)
 from conftest import GF2, GF3, GF5, GF7, rank_one_space
 
@@ -61,6 +61,11 @@ def test_budget_refusal():
         brute_disc(sp, budget=2)
 
 
+def is_compression(sp):
+    """disc equals cork, both by brute force."""
+    return brute_disc(sp)[0] == sp.ncols - brute_max_rank(sp)[0]
+
+
 def test_is_compression():
     rng = random.Random(8)
     sp = rank_one_space(rng, GF5, 2, 2, 2)
@@ -98,10 +103,10 @@ def test_strict_upper_embed_structure():
 
 
 def test_oracle_report_fields():
-    rep = oracle_report(sk3(GF3))
-    assert rep.max_rank == 2 and rep.disc == 0
-    assert rep.enumerated_elements == 27
-    assert rep.enumerated_subspaces == count_subspaces(3, 3)
+    cert = oracle_certificate(sk3(GF3))
+    assert cert["max_rank"] == 2 and cert["disc"] == 0
+    assert cert["enumerated_elements"] == 27
+    assert cert["enumerated_subspaces"] == count_subspaces(3, 3)
 
 
 def test_blackbox_greedy_diag():

@@ -8,7 +8,7 @@ import pytest
 from symrank import (Mat, MatSpace, PrimeField, RationalField,
                      is_triangularizable_with_nonsingular, rational_sdit,
                      tri_algo, verify_witness)
-from symrank.errors import FieldTooSmall, NotMember, NotSquare, SingularS
+from symrank.errors import EmptySpace, FieldTooSmall, NotMember, NotSquare, SingularS
 from symrank.oracles import sk3
 from symrank.sdit import TriOutcome, _int_det, check_outcome, integer_nonsingular
 from conftest import GF5, GF7, rand_nonsingular, upper_triangular
@@ -72,6 +72,11 @@ def test_tri_algo_rejects_rectangular():
     sp = MatSpace.from_spanning([Mat.zeros(GF5, 2, 3)], GF5, 2, 3)
     with pytest.raises(NotSquare):
         tri_algo(sp)
+
+
+def test_tri_algo_rejects_empty_space():
+    with pytest.raises(EmptySpace):
+        tri_algo(MatSpace(GF5, 2, 2, []))
 
 
 def test_tri_test_upper_triangular():

@@ -1,6 +1,7 @@
 """Constructive maximum-rank search and its helpers."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -127,14 +128,15 @@ def test_check_claim_and_working_space():
     res = smr(sp)
     space = working_space(sp, res.working_field)
     assert space.field.spec == res.working_field and space.nrows == space.ncols == 3
-    assert check_claim(space, res.coefficients, 2, res.witness)
+    assert check_claim(sp, space, res)
     for wrong_rank in (1, 3):
-        assert not check_claim(space, res.coefficients, wrong_rank, res.witness)
-    assert not check_claim(space, res.coefficients, 2, Subspace.zero(space.field, 3))
-    # without a witness only the rank of the combination is claimed
-    assert check_claim(space, res.coefficients, 2)
+        assert not check_claim(sp, space, replace(res, rank=wrong_rank))
+    assert not check_claim(sp, space, replace(res, witness=Subspace.zero(space.field, 3)))
+    # without a witness (failed_po) only the rank of the combination is claimed
+    lower = replace(res, status="failed_po", witness=None)
+    assert check_claim(sp, space, lower)
     for wrong_rank in (1, 3):
-        assert not check_claim(space, res.coefficients, wrong_rank)
+        assert not check_claim(sp, space, replace(lower, rank=wrong_rank))
     with pytest.raises(ValueError, match="working field"):
         working_space(sp, FieldSpec("prime", p=3))
 
