@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 malformed input, 2 typed algorithmic failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -19,8 +20,7 @@ from . import oracles, sdit
 from .smr import SmrResult, check_claim, pad_square, working_space
 from .smr import smr as run_smr
 from .errors import SymrankError
-from .fields import ExtensionField, FieldSpec, PrimeField, _find_irreducible, \
-    _json_int, _json_typed, make_field
+from .fields import FieldSpec, _json_int, _json_typed, extension_field, make_field
 from .linalg import Mat, Subspace
 from .po import PoInstance, _power_escapes, solve_po
 from .spaces import MatSpace
@@ -39,11 +39,8 @@ def parse_field_name(name: str):
         body = name[2:]
         if "^" in body:
             p_s, k_s = body.split("^")
-            p, k = int(p_s), int(k_s)
-            if k < 1:
-                raise ValueError(f"extension degree must be at least 1, got {k}")
-            return ExtensionField(p, k, _find_irreducible(p, k))
-        return PrimeField(int(body))
+            return extension_field(int(p_s), int(k_s))
+        return make_field(FieldSpec("prime", p=int(body)))
     raise ValueError(f"unknown field name {name!r}")
 
 
@@ -392,7 +389,9 @@ def cmd_verify(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="symrank",
         description="Symbolic matrix rank and determinant identity testing "

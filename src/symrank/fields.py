@@ -8,6 +8,7 @@ the field handle; matrices carry the handle and refuse to mix fields.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -16,19 +17,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .errors import FieldMismatch, FieldTooSmall, NonPrimeModulus, ReducibleModulus
+from .errors import FieldMismatch, FieldTooSmall, NonPrimeModulus, ReducibleModulus, \
+    SymrankError
+
+
+# Miller-Rabin on these bases is exact below _MR_BOUND (Sorenson & Webster 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    """Deterministic Miller-Rabin; SymrankError for p >= _MR_BOUND, never a guess."""
+    if p < 2 or any(p % b == 0 for b in _MR_BASES):
+        return p in _MR_BASES
+    if p >= _MR_BOUND:
+        raise SymrankError(f"cannot decide whether {p} is prime: "
+                           f"the test is exact only below {_MR_BOUND}")
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    for b in _MR_BASES:
+        # for prime p, b^d = 1 or one of b^d, b^2d, ..., b^(2^(s-1) d) is -1
+        x = pow(b, (p - 1) >> s, p)
+        if x != 1 and p - 1 not in itertools.accumulate(
+                range(s - 1), lambda y, _: y * y % p, initial=x):
             return False
-        d += 2
     return True
 
 
@@ -90,6 +101,7 @@ def _counting(p: int, k: int) -> Iterator[tuple[int, ...]]:
     return (t[::-1] for t in itertools.product(range(p), repeat=k))
 
 
+@functools.cache
 def _find_irreducible(p: int, k: int) -> tuple[int, ...]:
     """First monic irreducible of degree k over GF(p) in counting order."""
     return next(c + (1,) for c in _counting(p, k) if _poly_irreducible(c + (1,), p))
@@ -524,12 +536,23 @@ class RationalField(Field):
         return Fraction(int(m[1]), den)
 
 
+@functools.cache
 def make_field(spec: FieldSpec) -> Field:
+    """The handle of a field spec, one per spec; handles are not changed after
+    construction, so every caller shares it."""
     if spec.kind == "rational":
         return RationalField()
     if spec.kind == "prime":
         return PrimeField(spec.p)
     return ExtensionField(spec.p, spec.k, spec.modulus)
+
+
+def extension_field(p: int, k: int) -> Field:
+    """GF(p^k) modulo the first monic irreducible of degree k in counting order."""
+    if k < 1:
+        raise ValueError(f"extension degree must be at least 1, got {k}")
+    FieldSpec("prime", p=p)  # refuses a non-prime p before the search
+    return make_field(FieldSpec("extension", p=p, k=k, modulus=_find_irreducible(p, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +573,7 @@ def ensure_size(field: Field, t: int):
     k = k_old
     while p ** k < t:
         k += k_old  # keep GF(p^k_old) a subfield
-    big = ExtensionField(p, k, _find_irreducible(p, k))
+    big = extension_field(p, k)
     if field.spec.kind == "prime":
         return big, big.from_int
 

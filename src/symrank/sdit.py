@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import EmptySpace, FieldTooSmall, NotMember, NotSquare, SingularS
-from .fields import PrimeField, _is_prime, distinct_elements
+from .fields import FieldSpec, _is_prime, distinct_elements, make_field
 from .linalg import Mat, Subspace, kernel
 from .spaces import MatSpace, run_to_fixpoint
 from .wong import first_wong, verify_witness
@@ -201,7 +201,7 @@ def rational_sdit(int_mats: list[list[list[int]]]) -> RationalSditReport:
             break
 
     for i, p in enumerate(primes):
-        gf = PrimeField(p)
+        gf = make_field(FieldSpec("prime", p=p))
         mats = [Mat.from_ints(gf, mat) for mat in int_mats]
         # unpruned, so coefficient positions stay those of int_mats
         out = tri_algo(MatSpace(gf, n, mats[0].ncols, mats))

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from symrank.cli import main
+from symrank.cli import build_parser, main
 
 
 def write_json(path, data):
@@ -232,10 +232,14 @@ def test_verify_rejects_foreign_working_field(tmp_path, capsys, diag_instance):
     (["gallery", "yz_lift_shifted"], None),
     (["gallery", "strict_upper_embed"], None),
     (["gallery", "sk3", "--field", "gf2^0"], None),
+    (["gallery", "sk3", "--field", "gf1^2"], None),
+    (["oracle"], {"field": {"kind": "prime", "p": 3317044064679887385961981}, "n": 1,
+                  "basis": [[[1]]]}),
     (["oracle"], {"field": {"kind": "prime", "p": 5}, "n": -1, "basis": []}),
     (["oracle"], {"field": {"kind": "prime", "p": 5}, "n": 2, "n_cols": -1, "basis": []}),
 ], ids=["yz-lift-without-base", "yz-lift-shifted-without-base",
-        "strict-upper-embed-without-base", "degree-zero-extension", "negative-n",
+        "strict-upper-embed-without-base", "degree-zero-extension",
+        "non-prime-extension-base", "prime-test-bound", "negative-n",
         "negative-n-cols"])
 def test_input_errors_exit_1(tmp_path, capsys, argv, instance):
     if instance is not None:
@@ -430,3 +434,37 @@ def test_generator_index_out_of_range(tmp_path, capsys, argv):
         "field": field, "n": 2, "n_cols": 2, "basis": basis})
     assert main(argv[:1] + [inst] + argv[1:]) == 1
     assert "generator index" in capsys.readouterr().err
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path, upper_instance):
+    # one parser serves every call: a flag of one call must not reach the next
+    cert = str(tmp_path / "sdit.json")
+    assert main(["sdit-tri", upper_instance, "--mod-p", "-o", cert]) == 0
+    assert json.loads(open(cert).read())["algorithm"] == "rational_sdit"
+    assert main(["sdit-tri", upper_instance, "-o", cert]) == 0
+    assert json.loads(open(cert).read())["algorithm"] == "tri_algo"
+    assert build_parser() is build_parser()
+
+
+def test_parser_usage_error_then_valid_call(tmp_path, capsys, upper_instance):
+    fresh, again = tmp_path / "fresh.json", tmp_path / "again.json"
+    build_parser.cache_clear()
+    assert main(["tri-test", upper_instance, "--pivot", "0", "-o", str(fresh)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["tri-test", upper_instance])
+    assert exc.value.code == 2
+    assert "--pivot" in capsys.readouterr().err
+    assert main(["tri-test", upper_instance, "--pivot", "0", "-o", str(again)]) == 0
+    assert again.read_bytes() == fresh.read_bytes()
+
+
+def test_smr_over_mersenne_prime(tmp_path, capsys):
+    # GF(2^61 - 1): deciding the modulus prime must not take O(sqrt(p)) steps
+    inst = write_json(tmp_path / "m61.json", {
+        "field": {"kind": "prime", "p": 2 ** 61 - 1}, "n": 2, "n_cols": 2,
+        "basis": [[[0, 0], [1, 0]], [[1, 0], [0, 0]], [[0, 0], [0, 1]]]})
+    cert = str(tmp_path / "m61_cert.json")
+    assert main(["smr", inst, "-o", cert]) == 0
+    assert json.loads(open(cert).read())["rank"] == 2
+    assert main(["verify", inst, "--cert", cert]) == 0
+    assert capsys.readouterr().out.strip() == "PASS"

@@ -1,6 +1,7 @@
 """Field arithmetic, extension construction, deterministic enlargement."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,11 @@ import pytest
 from symrank import (ExtensionField, FieldSpec, PrimeField, RationalField,
                      SymrankError, distinct_elements, ensure_size, make_field)
 from symrank.errors import NonPrimeModulus, ReducibleModulus
-from symrank.fields import (TABLE_MAX, _find_irreducible, _poly_divmod,
-                            _poly_mul, _poly_trim)
+from symrank.fields import (_MR_BOUND, TABLE_MAX, _find_irreducible, _is_prime,
+                            _poly_divmod, _poly_mul, _poly_trim, extension_field)
+from symrank.smr import smr
+
+from conftest import rank_one_space
 
 
 def test_prime_field_basics():
@@ -57,7 +61,7 @@ def test_make_field_round_trip():
                  FieldSpec("rational")):
         f = make_field(spec)
         assert f.spec == spec
-        assert make_field(FieldSpec.from_json(spec.to_json())) == f
+        assert make_field(FieldSpec.from_json(spec.to_json())) is f
 
 
 def test_ensure_size_no_op_when_large_enough():
@@ -78,9 +82,46 @@ def test_ensure_size_gf2_to_gf8():
     # embedding is a field homomorphism
     assert embed(1) == big.one
     assert big.add(embed(1), embed(1)) == big.zero
-    # deterministic: same call, same field
+    # deterministic: same call, same field handle
     big2, _ = ensure_size(PrimeField(2), 5)
-    assert big2 == big
+    assert big2 is big
+
+
+def test_shared_handle_tables_unchanged_by_smr():
+    gf8 = extension_field(2, 3)
+    tables = (dict(gf8._log), list(gf8._exp), list(gf8._zech))
+    sp = rank_one_space(random.Random(3), PrimeField(2), 4, 4, 5)
+    res = smr(sp)
+    assert make_field(res.working_field) is gf8
+    assert (gf8._log, gf8._exp, gf8._zech) == tables
+
+
+def test_is_prime_matches_sieve():
+    sieve = [False, False] + [True] * (10 ** 5 - 2)
+    for i in range(2, 317):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(range(i * i, 10 ** 5, i))
+    assert [_is_prime(i) for i in range(10 ** 5)] == sieve
+
+
+@pytest.mark.parametrize("n", [561, 3215031751, 3825123056546413051])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not _is_prime(n)
+
+
+@pytest.mark.parametrize("p", [2 ** 61 - 1, 2 ** 64 - 59])
+def test_is_prime_large_primes_fast(p):
+    start = time.perf_counter()
+    assert _is_prime(p)
+    assert time.perf_counter() - start < 0.01
+
+
+def test_is_prime_refuses_to_guess_at_the_bound():
+    # the bound is itself a strong pseudoprime to all thirteen bases
+    with pytest.raises(SymrankError, match=str(_MR_BOUND)):
+        _is_prime(_MR_BOUND)
+    with pytest.raises(SymrankError):
+        FieldSpec("prime", p=_MR_BOUND + 2)
 
 
 def test_ensure_size_extension_base():
