@@ -81,18 +81,36 @@ def _poly_divmod(a: tuple[int, ...], b: tuple[int, ...], p: int):
     return _poly_trim(tuple(q)), _poly_trim(tuple(v % p for v in a))
 
 
+def _poly_pow_mod(a: tuple[int, ...], e: int, m: tuple[int, ...], p: int):
+    """a^e mod m, for m of degree >= 1: square and multiply, high bit first."""
+    out = (1,)
+    for bit in bin(e)[2:]:
+        out = _poly_divmod(_poly_mul(out, out, p), m, p)[1]
+        if bit == "1":
+            out = _poly_divmod(_poly_mul(out, a, p), m, p)[1]
+    return out
+
+
+@functools.cache
 def _poly_irreducible(m: tuple[int, ...], p: int) -> bool:
-    """Trial division by every monic factor of degree <= deg(m)/2."""
+    """Rabin's test: m of degree k >= 1 is irreducible iff x^(p^k) = x mod m
+    and gcd(x^(p^(k/q)) - x, m) = 1 for every prime q dividing k.  Memoised:
+    every extension FieldSpec runs it, one per certificate parsed."""
     k = len(m) - 1
     if k <= 0:
         return False
-    for d in range(1, k // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            cand = tuple(tail) + (1,)
-            _, r = _poly_divmod(m, cand, p)
-            if not r:
-                return False
-    return True
+    frob = [_poly_divmod((0, 1), m, p)[1]]  # frob[i] = x^(p^i) mod m
+    for _ in range(k):
+        frob.append(_poly_pow_mod(frob[-1], p, m, p))
+    for q in _prime_factors(k):
+        a = _poly_trim(tuple((u - v) % p for u, v in itertools.zip_longest(
+            frob[k // q], frob[0], fillvalue=0)))
+        b = m
+        while a:
+            a, b = _poly_divmod(b, a, p)[1], a
+        if len(b) > 1:  # b = gcd(x^(p^(k/q)) - x, m) is not a constant
+            return False
+    return frob[k] == frob[0]
 
 
 def _counting(p: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -339,13 +357,7 @@ class ExtensionField(Field):
         return self._pad(_poly_divmod(prod, self.modulus, self.p)[1])
 
     def _poly_pow(self, a, e: int):
-        out = self.one
-        while e:
-            if e & 1:
-                out = self._poly_mul_mod(out, a)
-            a = self._poly_mul_mod(a, a)
-            e >>= 1
-        return out
+        return self._pad(_poly_pow_mod(_poly_trim(a), e, self.modulus, self.p))
 
     def _pad(self, c: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(c) + (0,) * (self.k - len(c))

@@ -16,11 +16,12 @@ class Mat:
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
-    def __init__(self, field: Field, rows):
+    def __init__(self, field: Field, rows, ncols: int | None = None):
+        """ncols is needed only to give a matrix with no rows its width."""
         self.field = field
         self.rows = [list(r) for r in rows]
         self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
+        self.ncols = len(self.rows[0]) if self.rows else ncols or 0
         for r in self.rows:
             if len(r) != self.ncols:
                 raise DimMismatch("ragged rows")
@@ -30,7 +31,7 @@ class Mat:
     @staticmethod
     def zeros(field: Field, nrows: int, ncols: int) -> "Mat":
         z = field.zero
-        return Mat(field, [[z] * ncols for _ in range(nrows)])
+        return Mat(field, [[z] * ncols for _ in range(nrows)], ncols)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Mat":
@@ -45,7 +46,7 @@ class Mat:
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.field == other.field
-                and self.rows == other.rows)
+                and self.ncols == other.ncols and self.rows == other.rows)
 
     def __repr__(self):
         return f"Mat({self.nrows}x{self.ncols} over {self.field.spec.kind})"
@@ -173,7 +174,7 @@ def rref(m: Mat):
     f = m.field
     rows, pivots = _rref_rows(f, m.rows)
     zeros = [[f.zero] * m.ncols for _ in range(m.nrows - len(rows))]
-    return Mat(f, rows + zeros), len(pivots)
+    return Mat(f, rows + zeros, m.ncols), len(pivots)
 
 
 class Subspace:
@@ -220,8 +221,7 @@ class Subspace:
         return f"Subspace(dim {self.dim} of F^{self.ambient_dim})"
 
     def basis_matrix(self) -> Mat:
-        return Mat(self.field, self.basis) if self.basis else Mat.zeros(
-            self.field, 0, self.ambient_dim)
+        return Mat(self.field, self.basis, self.ambient_dim)
 
     def contains_vector(self, vec) -> bool:
         if len(vec) != self.ambient_dim:
@@ -247,8 +247,6 @@ class Subspace:
 
     def orthogonal(self) -> "Subspace":
         """Orthogonal complement for the standard bilinear form."""
-        if not self.basis:
-            return Subspace.full(self.field, self.ambient_dim)
         return kernel(self.basis_matrix())
 
     def intersect(self, other: "Subspace") -> "Subspace":
@@ -256,20 +254,32 @@ class Subspace:
         return self.orthogonal().sum(other.orthogonal()).orthogonal()
 
 
-def kernel(m: Mat) -> Subspace:
-    """Null space of m, a subspace of F^cols."""
-    f = m.field
-    rows, pivots = _rref_rows(f, m.rows)
-    piv_set = set(pivots)
-    free = [j for j in range(m.ncols) if j not in piv_set]
+def _null_vectors(f: Field, n: int, rows, pivots) -> list:
+    """Basis of the vectors of F^n orthogonal to rows, for rows that are one at
+    their pivot and zero at the other pivots: for each free column j in
+    order, the vector that is one at j, zero at the other free columns and
+    -r[j] at the pivot of each row r."""
     basis = []
-    for j in free:
-        v = [f.zero] * m.ncols
+    for j in sorted(set(range(n)).difference(pivots)):
+        v = [f.zero] * n
         v[j] = f.one
         for r, p in zip(rows, pivots):
             v[p] = f.neg(r[j])
         basis.append(v)
-    return Subspace(f, m.ncols, basis)
+    return basis
+
+
+def kernel(m: Mat) -> Subspace:
+    """Null space of m, a subspace of F^cols, from one elimination.
+
+    m is reduced with its columns reversed, so each echelon row, read back in
+    the original order, ends at its pivot.  Each null vector then leads at
+    its free column and is zero at the others: already the RREF basis.
+    """
+    f, n = m.field, m.ncols
+    rows, pivots = _rref_rows(f, [r[::-1] for r in m.rows])
+    basis = _null_vectors(f, n, [r[::-1] for r in rows], [n - 1 - p for p in pivots])
+    return Subspace(f, n, basis, _canonical=True)
 
 
 def image(m: Mat) -> Subspace:

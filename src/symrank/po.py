@@ -77,9 +77,10 @@ def helpful_subspaces(inst: PoInstance, ell: int,
     """
     d, u_prime = inst.d, inst.u_prime
     f = d.field
+    d_t = d.transpose_space()
     perps = [u_prime.orthogonal()]
     for _ in range(ell - 1):
-        perps.append(d.transpose_space().image_of(perps[-1]))
+        perps.append(d_t.image_of(perps[-1]))
     eqs = []
     for j in range(1, ell + 1):
         perp = perps[ell - j]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .errors import DimMismatch, IdentityMissing, NotSquare
 from .fields import Field
-from .linalg import Mat, Subspace, _eliminate, solve
+from .linalg import Mat, Subspace, _eliminate, _null_vectors, kernel, solve
 
 
 class MatSpace:
@@ -112,14 +112,20 @@ class MatSpace:
     def preimage_of(self, w: Subspace) -> Subspace:
         """Largest T with B(T) <= w for every generator B.
 
-        Computed by duality through the transpose space, which reuses
-        image_of instead of stacking linear systems.
+        T is the null space of the rows v.B, over the generators B and a
+        basis of w's orthogonal, which _null_vectors reads off w's RREF.
         """
-        self.field.check(w.field)
+        f = self.field
+        f.check(w.field)
         if w.ambient_dim != self.nrows:
             raise DimMismatch(f"subspace lives in F^{w.ambient_dim}, "
                               f"matrices map into F^{self.nrows}")
-        return self.transpose_space().image_of(w.orthogonal()).orthogonal()
+        perp = _null_vectors(f, self.nrows, w.basis, w.pivots)
+        rows = []
+        for g in self.gens:
+            cols = list(zip(*g.rows))
+            rows += [[f.dot(v, c) for c in cols] for v in perp]
+        return kernel(Mat(f, rows, self.ncols))
 
     # -- products and algebras ----------------------------------------------
 

@@ -1,5 +1,6 @@
 """Field arithmetic, extension construction, deterministic enlargement."""
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -10,7 +11,8 @@ from symrank import (ExtensionField, FieldSpec, PrimeField, RationalField,
                      SymrankError, distinct_elements, ensure_size, make_field)
 from symrank.errors import NonPrimeModulus, ReducibleModulus
 from symrank.fields import (_MR_BOUND, TABLE_MAX, _find_irreducible, _is_prime,
-                            _poly_divmod, _poly_mul, _poly_trim, extension_field)
+                            _poly_divmod, _poly_irreducible, _poly_mul, _poly_trim,
+                            extension_field)
 from symrank.smr import smr
 
 from conftest import rank_one_space
@@ -152,6 +154,28 @@ def test_counting_order():
                 (101, 2): (2, 0, 1)}
     for (p, k), modulus in expected.items():
         assert _find_irreducible(p, k) == modulus
+
+
+def _irreducible_by_trial_division(m, p):
+    """Reference: no monic factor of degree 1 .. deg(m)/2 divides m."""
+    k = len(m) - 1
+    return k > 0 and all(
+        _poly_divmod(m, tail + (1,), p)[1]
+        for d in range(1, k // 2 + 1) for tail in itertools.product(range(p), repeat=d))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rabin_test_agrees_with_trial_division(p):
+    for k in range(5):
+        for tail in itertools.product(range(p), repeat=k):
+            m = tail + (1,)
+            assert _poly_irreducible(m, p) == _irreducible_by_trial_division(m, p), m
+
+
+def test_find_irreducible_over_a_large_prime_is_fast():
+    start = time.perf_counter()
+    assert _find_irreducible.__wrapped__(1000003, 2) == (1, 0, 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_distinct_elements():

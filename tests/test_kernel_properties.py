@@ -143,3 +143,27 @@ def test_single_matrix_preimage(data):
     pre = MatSpace.of(a).preimage_of(w)
     assert all(w.contains_vector(a.apply(x)) for x in pre.basis)
     assert pre.dim == kernel(a).dim + w.intersect(image(a)).dim
+
+
+@PROPERTY
+@given(field_and_matrix())
+def test_kernel_basis_is_canonical(fm):
+    f, m = fm
+    k = kernel(m)
+    again = Subspace(f, m.ncols, k.basis)
+    assert (again.basis, again.pivots) == (k.basis, k.pivots)
+    assert all(f.is_zero(e) for v in k.basis for e in m.apply(v))
+
+
+@PROPERTY
+@given(st.data())
+def test_preimage_matches_duality_formula(data):
+    # the reference: T = (space^T (w^perp))^perp, the textbook duality
+    f = data.draw(st.sampled_from(FIELDS))
+    nrows, ncols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    gens = data.draw(st.lists(matrices(f, nrows, ncols), max_size=3))
+    sp = MatSpace.from_spanning(gens, f, nrows, ncols)
+    w = data.draw(st.one_of(
+        st.just(Subspace.zero(f, nrows)), st.just(Subspace.full(f, nrows)),
+        st.lists(vectors(f, nrows), max_size=nrows).map(lambda rows: Subspace(f, nrows, rows))))
+    assert sp.preimage_of(w) == sp.transpose_space().image_of(w.orthogonal()).orthogonal()

@@ -56,6 +56,17 @@ def test_kernel_image_basic():
     assert image(z) == Subspace.zero(GF5, 2)
 
 
+def test_zero_row_matrix_keeps_its_width():
+    z = Mat.zeros(GF5, 0, 3)
+    assert (z.nrows, z.ncols) == (0, 3)
+    assert z != Mat.zeros(GF5, 0, 2)
+    assert z.transpose().nrows == 3
+    assert rref(z) == (z, 0)
+    assert kernel(z) == Subspace.full(GF5, 3)
+    assert Subspace.zero(GF5, 4).basis_matrix() == Mat.zeros(GF5, 0, 4)
+    assert Subspace.zero(GF5, 4).orthogonal() == Subspace.full(GF5, 4)
+
+
 def test_rank_nullity_random():
     rng = random.Random(11)
     for _ in range(40):

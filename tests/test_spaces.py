@@ -48,6 +48,12 @@ def test_preimage_of():
     ident = MatSpace.from_spanning([Mat.identity(GF5, 3)])
     w = Subspace(GF5, 3, [[1, 2, 0]])
     assert ident.preimage_of(w) == w
+    # no generators, or w = F^n: every vector qualifies
+    assert MatSpace(GF5, 2, 2, []).preimage_of(Subspace(GF5, 2, [[1, 1]])) == Subspace.full(GF5, 2)
+    assert MatSpace(GF5, 2, 3, []).preimage_of(Subspace.zero(GF5, 2)) == Subspace.full(GF5, 3)
+    rect = MatSpace.from_spanning([Mat.from_ints(GF5, [[1, 2, 0], [0, 1, 4]])])
+    assert rect.preimage_of(Subspace.full(GF5, 2)) == Subspace.full(GF5, 3)
+    assert rect.preimage_of(Subspace.zero(GF5, 2)) == Subspace(GF5, 3, [[3, 1, 1]])
 
 
 def test_preimage_is_adjoint_of_image():
