@@ -115,8 +115,9 @@ def _poly_irreducible(m: tuple[int, ...], p: int) -> bool:
 
 def _counting(p: int, k: int) -> Iterator[tuple[int, ...]]:
     """All coefficient k-tuples over GF(p) in counting order: the constant
-    coefficient varies fastest (degree-lex)."""
-    return (t[::-1] for t in itertools.product(range(p), repeat=k))
+    coefficient varies fastest (degree-lex).  Lazy, so a huge p costs nothing
+    until its tuples are drawn."""
+    return (tuple(i // p**e % p for e in range(k)) for i in range(p**k))
 
 
 @functools.cache
@@ -212,8 +213,12 @@ class Field:
         if self.spec != other.spec:
             raise FieldMismatch(f"{self.spec} vs {other.spec}")
 
-    # subclasses implement: zero, one, add, sub, mul, neg, inv, is_zero,
-    # from_int, elements, scalar_to_json, scalar_from_json
+    # subclasses implement: zero, one, add, sub, mul, neg, inv, from_int,
+    # elements, scalar_to_json, scalar_from_json, and nonzero, a C callable
+    # whose result is true exactly for the nonzero scalars
+
+    def is_zero(self, a) -> bool:
+        return not self.nonzero(a)
 
     # row operations, the inner loops of elimination and matrix products;
     # a field with cheaper arithmetic than its scalar methods overrides them
@@ -228,10 +233,10 @@ class Field:
         return [mul(c, a) for a in x]
 
     def dot(self, x, y):
-        add, mul, is_zero = self.add, self.mul, self.is_zero
+        add, mul, nonzero = self.add, self.mul, self.nonzero
         acc = self.zero
         for a, b in zip(x, y):
-            if not is_zero(a) and not is_zero(b):
+            if nonzero(a) and nonzero(b):
                 acc = add(acc, mul(a, b))
         return acc
 
@@ -251,6 +256,7 @@ class PrimeField(Field):
         self.p = p
         self.zero = 0
         self.one = 1 % p
+        self.nonzero = p.__rmod__  # a % p, exact for unreduced ints too
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -268,9 +274,6 @@ class PrimeField(Field):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
-
-    def is_zero(self, a):
-        return a % self.p == 0
 
     def from_int(self, i: int):
         return i % self.p
@@ -332,6 +335,7 @@ class ExtensionField(Field):
         self.modulus = self.spec.modulus
         self.zero = (0,) * k
         self.one = (1,) + (0,) * (k - 1)
+        self.nonzero = any  # elements are reduced coefficient tuples
         self._log = None
         if p ** k <= TABLE_MAX:
             self._build_tables()
@@ -447,9 +451,6 @@ class ExtensionField(Field):
             acc = None if z is None else (acc + z) % m
         return self.zero if acc is None else exp[acc]
 
-    def is_zero(self, a):
-        return not any(a)  # elements are reduced coefficient tuples
-
     def from_int(self, i: int):
         return self._pad((i % self.p,))
 
@@ -472,6 +473,7 @@ class RationalField(Field):
         self.spec = FieldSpec("rational")
         self.zero = Fraction(0)
         self.one = Fraction(1)
+        self.nonzero = bool
 
     def add(self, a, b):
         return a + b
@@ -489,9 +491,6 @@ class RationalField(Field):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a
-
-    def is_zero(self, a):
-        return not a
 
     def from_int(self, i: int):
         return Fraction(i)

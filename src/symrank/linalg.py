@@ -7,6 +7,8 @@ syntactic check and every downstream algorithm is deterministic.
 
 from __future__ import annotations
 
+from itertools import compress, count
+
 from .errors import DimMismatch, NotSquare
 from .fields import Field
 
@@ -61,7 +63,7 @@ class Mat:
 
     def transpose(self) -> "Mat":
         return Mat(self.field, [[self.rows[i][j] for i in range(self.nrows)]
-                                for j in range(self.ncols)])
+                                for j in range(self.ncols)], self.nrows)
 
     def add(self, other: "Mat") -> "Mat":
         self._check(other)
@@ -138,21 +140,25 @@ def _eliminate(f: Field, rows, basis=(), pivots=(), reduced=True):
     row is cleared at the echelon's pivots; a nonzero remainder is scaled to
     a leading one and appended, and, when reduced, cleared from the earlier
     rows.  Returns (basis, pivots, leads) with new lists: leads[i] is row i's
-    leading entry before scaling, or None when row i added nothing.
+    leading entry before scaling, or None when row i added nothing.  A full
+    echelon, one pivot per column, absorbs every row without reducing it.
     """
     basis, pivots, leads = list(basis), list(pivots), []
-    is_zero, axpy = f.is_zero, f.axpy_row
+    nonzero, axpy = f.nonzero, f.axpy_row
     for v in rows:
+        if len(pivots) == len(v):
+            leads.append(None)
+            continue
         for piv, row in zip(pivots, basis):
-            if not is_zero(v[piv]):
+            if nonzero(v[piv]):
                 v = axpy(v[piv], row, v)
-        col = next((j for j, e in enumerate(v) if not is_zero(e)), None)
+        col = next(compress(count(), map(nonzero, v)), None)
         leads.append(None if col is None else v[col])
         if col is None:
             continue
         v = f.scale_row(f.inv(v[col]), v)
         if reduced:
-            basis = [row if is_zero(row[col]) else axpy(row[col], v, row)
+            basis = [axpy(row[col], v, row) if nonzero(row[col]) else row
                      for row in basis]
         basis.append(v)
         pivots.append(col)
@@ -187,7 +193,7 @@ class Subspace:
         self.ambient_dim = ambient_dim
         if _canonical:
             self.basis = [list(r) for r in rows]
-            self.pivots = [next(j for j, e in enumerate(r) if not field.is_zero(e))
+            self.pivots = [next(compress(count(), map(field.nonzero, r)))
                            for r in self.basis]
             return
         rows = list(rows)
@@ -254,11 +260,17 @@ class Subspace:
         return self.orthogonal().sum(other.orthogonal()).orthogonal()
 
 
-def _null_vectors(f: Field, n: int, rows, pivots) -> list:
-    """Basis of the vectors of F^n orthogonal to rows, for rows that are one at
-    their pivot and zero at the other pivots: for each free column j in
-    order, the vector that is one at j, zero at the other free columns and
-    -r[j] at the pivot of each row r."""
+def kernel(m: Mat) -> Subspace:
+    """Null space of m, a subspace of F^cols, from one elimination.
+
+    m is reduced with its columns reversed, so each echelon row r, read back
+    in the original order, ends at its pivot p.  The null vector of each free
+    column j, one at j, zero at the other free columns and -r[j] at each p,
+    then leads at j: already the RREF basis.
+    """
+    f, n = m.field, m.ncols
+    rows, pivots = _rref_rows(f, [r[::-1] for r in m.rows])
+    rows, pivots = [r[::-1] for r in rows], [n - 1 - p for p in pivots]
     basis = []
     for j in sorted(set(range(n)).difference(pivots)):
         v = [f.zero] * n
@@ -266,19 +278,6 @@ def _null_vectors(f: Field, n: int, rows, pivots) -> list:
         for r, p in zip(rows, pivots):
             v[p] = f.neg(r[j])
         basis.append(v)
-    return basis
-
-
-def kernel(m: Mat) -> Subspace:
-    """Null space of m, a subspace of F^cols, from one elimination.
-
-    m is reduced with its columns reversed, so each echelon row, read back in
-    the original order, ends at its pivot.  Each null vector then leads at
-    its free column and is zero at the others: already the RREF basis.
-    """
-    f, n = m.field, m.ncols
-    rows, pivots = _rref_rows(f, [r[::-1] for r in m.rows])
-    basis = _null_vectors(f, n, [r[::-1] for r in rows], [n - 1 - p for p in pivots])
     return Subspace(f, n, basis, _canonical=True)
 
 

@@ -6,9 +6,11 @@ column vectors, so a space of n x n' matrices maps F^n' into F^n.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .errors import DimMismatch, IdentityMissing, NotSquare
 from .fields import Field
-from .linalg import Mat, Subspace, _eliminate, _null_vectors, kernel, solve
+from .linalg import Mat, Subspace, _eliminate, kernel, solve
 
 
 class MatSpace:
@@ -113,19 +115,26 @@ class MatSpace:
         """Largest T with B(T) <= w for every generator B.
 
         T is the null space of the rows v.B, over the generators B and a
-        basis of w's orthogonal, which _null_vectors reads off w's RREF.
+        basis of w's orthogonal.  For each free column j of w's RREF, that
+        basis has v = e_j - sum r[j] e_p over the rows r of w with pivot p,
+        so v.B, for all B side by side, is stack[j] - sum r[j] stack[p],
+        where stack[i] is row i of every generator side by side.
         """
-        f = self.field
+        f, n = self.field, self.ncols
         f.check(w.field)
         if w.ambient_dim != self.nrows:
             raise DimMismatch(f"subspace lives in F^{w.ambient_dim}, "
                               f"matrices map into F^{self.nrows}")
-        perp = _null_vectors(f, self.nrows, w.basis, w.pivots)
+        stack = [list(chain.from_iterable(g.rows[i] for g in self.gens))
+                 for i in range(self.nrows)]
         rows = []
-        for g in self.gens:
-            cols = list(zip(*g.rows))
-            rows += [[f.dot(v, c) for c in cols] for v in perp]
-        return kernel(Mat(f, rows, self.ncols))
+        for j in sorted(set(range(self.nrows)).difference(w.pivots)):
+            x = stack[j]
+            for r, p in zip(w.basis, w.pivots):
+                if f.nonzero(r[j]):
+                    x = f.axpy_row(r[j], stack[p], x)
+            rows += [x[k * n:(k + 1) * n] for k in range(len(self.gens))]
+        return kernel(Mat(f, rows, n))
 
     # -- products and algebras ----------------------------------------------
 

@@ -28,11 +28,13 @@ class WongTrace:
 
 
 def first_wong(a: Mat, sp: MatSpace) -> WongTrace:
-    """U_0 = V, U_{i+1} = space^{-1}(a(U_i)); stabilizes within n steps."""
+    """U_0 = V, U_{i+1} = space^{-1}(a(U_i)); stabilizes within n steps.
+
+    The terms decrease, so a zero term is the limit and is not mapped again."""
     if a.nrows != sp.nrows or a.ncols != sp.ncols:
         raise DimMismatch("anchor matrix vs space dimensions")
     a_sp = MatSpace.of(a)
-    terms = run_to_fixpoint(lambda u: sp.preimage_of(a_sp.image_of(u)),
+    terms = run_to_fixpoint(lambda u: sp.preimage_of(a_sp.image_of(u)) if u.dim else u,
                             Subspace.full(a.field, a.ncols))
     return WongTrace(terms)
 

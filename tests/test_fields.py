@@ -10,7 +10,7 @@ import pytest
 from symrank import (ExtensionField, FieldSpec, PrimeField, RationalField,
                      SymrankError, distinct_elements, ensure_size, make_field)
 from symrank.errors import NonPrimeModulus, ReducibleModulus
-from symrank.fields import (_MR_BOUND, TABLE_MAX, _find_irreducible, _is_prime,
+from symrank.fields import (_MR_BOUND, TABLE_MAX, _counting, _find_irreducible, _is_prime,
                             _poly_divmod, _poly_irreducible, _poly_mul, _poly_trim,
                             extension_field)
 from symrank.smr import smr
@@ -154,6 +154,8 @@ def test_counting_order():
                 (101, 2): (2, 0, 1)}
     for (p, k), modulus in expected.items():
         assert _find_irreducible(p, k) == modulus
+    for p, k in [(2, 4), (3, 3), (5, 2)]:
+        assert list(_counting(p, k)) == [t[::-1] for t in itertools.product(range(p), repeat=k)]
 
 
 def _irreducible_by_trial_division(m, p):
@@ -173,9 +175,23 @@ def test_rabin_test_agrees_with_trial_division(p):
 
 
 def test_find_irreducible_over_a_large_prime_is_fast():
-    start = time.perf_counter()
-    assert _find_irreducible.__wrapped__(1000003, 2) == (1, 0, 1)
-    assert time.perf_counter() - start < 1.0
+    # x^2 + 1 is irreducible for p = 3 mod 4; GF(p) itself is never enumerated
+    for p in (1000003, 2**61 - 1):
+        start = time.perf_counter()
+        assert _find_irreducible.__wrapped__(p, 2) == (1, 0, 1)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_is_zero_is_not_nonzero():
+    for f in (extension_field(2, 2), extension_field(3, 2), PrimeField(5)):
+        for a in f.elements():
+            assert f.is_zero(a) == (not f.nonzero(a)) == (a == f.zero)
+    q = RationalField()
+    for a in (Fraction(0), Fraction(0, 4), Fraction(-3, 7), Fraction(5)):
+        assert q.is_zero(a) == (not q.nonzero(a)) == (a == 0)
+    f = PrimeField(7)
+    for a in (-14, -8, -1, 7, 13, 49, 7**40, 7**40 + 1):  # unreduced ints
+        assert f.is_zero(a) == (not f.nonzero(a)) == (a % 7 == 0)
 
 
 def test_distinct_elements():

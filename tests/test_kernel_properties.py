@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from symrank import (Mat, MatSpace, PrimeField, RationalField, Subspace,
                      first_wong, image, kernel, pseudo_inverse, rref, second_wong)
 from symrank.fields import ExtensionField, Field, _find_irreducible
+from symrank.linalg import _eliminate
+from symrank.spaces import run_to_fixpoint
 
 FIELDS = [PrimeField(2), PrimeField(7), PrimeField(101),
           ExtensionField(2, 3, _find_irreducible(2, 3)),
@@ -115,6 +117,63 @@ def test_row_operations_match_generic(f, data):
     assert f.axpy_row(c, x, y) == Field.axpy_row(f, c, x, y)
     assert f.scale_row(c, x) == Field.scale_row(f, c, x)
     assert f.dot(x, y) == Field.dot(f, x, y)
+
+
+def _reference_eliminate(f, rows, basis=(), pivots=()):
+    """The unreduced elimination loop, every row cleared, past a full echelon too."""
+    basis, pivots, leads = list(basis), list(pivots), []
+    for v in rows:
+        for piv, row in zip(pivots, basis):
+            v = f.axpy_row(v[piv], row, v)
+        col = next((j for j, e in enumerate(v) if not f.is_zero(e)), None)
+        leads.append(None if col is None else v[col])
+        if col is not None:
+            basis.append(f.scale_row(f.inv(v[col]), v))
+            pivots.append(col)
+    return basis, pivots, leads
+
+
+@PROPERTY
+@given(st.data())
+def test_rows_past_a_full_echelon(data):
+    f = data.draw(st.sampled_from(FIELDS))
+    n = data.draw(st.integers(0, 3))
+    rows = data.draw(st.lists(vectors(f, n), max_size=n + 4))
+    at = data.draw(st.integers(0, len(rows)))
+    rows[at:at] = Mat.identity(f, n).rows  # the echelon is full from here on
+    assert _eliminate(f, rows, reduced=False) == _reference_eliminate(f, rows)
+    basis, pivots, leads = _reference_eliminate(f, rows)
+    mats = [Mat(f, [r], n) for r in rows]
+    sp = MatSpace.from_spanning(mats, f, 1, n)
+    assert sp.gens == [m for m, lead in zip(mats, leads) if lead is not None]
+    assert sp._echelon == (basis, pivots)
+    v = data.draw(vectors(f, n))
+    assert sp.contains(Mat(f, [v], n))
+    assert _eliminate(f, [v], basis, pivots, reduced=False)[2] == [None]
+
+
+@PROPERTY
+@given(st.data())
+def test_first_wong_matches_every_step_mapped(data):
+    # the reference maps every term, a zero one too.  to_zero puts I in the
+    # space and makes a nilpotent, so U_i lies in a^i(V) and the limit is 0
+    f = data.draw(st.sampled_from(FIELDS))
+    to_zero = data.draw(st.booleans())
+    nrows = data.draw(st.integers(1, 4))
+    ncols = nrows if to_zero else data.draw(st.integers(1, 4))
+    gens = data.draw(st.lists(matrices(f, nrows, ncols), max_size=3))
+    a = data.draw(matrices(f, nrows, ncols))
+    if to_zero:
+        gens.append(Mat.identity(f, nrows))
+        a = Mat(f, [[e if j > i else f.zero for j, e in enumerate(r)]
+                    for i, r in enumerate(a.rows)])
+    sp = MatSpace.from_spanning(gens, f, nrows, ncols)
+    a_sp = MatSpace.of(a)
+    reference = run_to_fixpoint(lambda u: sp.preimage_of(a_sp.image_of(u)),
+                                Subspace.full(f, ncols))
+    terms = first_wong(a, sp).terms
+    assert terms == reference
+    assert not to_zero or terms[-1].dim == 0
 
 
 @PROPERTY

@@ -61,6 +61,7 @@ def test_zero_row_matrix_keeps_its_width():
     assert (z.nrows, z.ncols) == (0, 3)
     assert z != Mat.zeros(GF5, 0, 2)
     assert z.transpose().nrows == 3
+    assert Mat.zeros(GF5, 2, 0).transpose() == Mat.zeros(GF5, 0, 2)
     assert rref(z) == (z, 0)
     assert kernel(z) == Subspace.full(GF5, 3)
     assert Subspace.zero(GF5, 4).basis_matrix() == Mat.zeros(GF5, 0, 4)

@@ -54,6 +54,14 @@ def test_preimage_of():
     rect = MatSpace.from_spanning([Mat.from_ints(GF5, [[1, 2, 0], [0, 1, 4]])])
     assert rect.preimage_of(Subspace.full(GF5, 2)) == Subspace.full(GF5, 3)
     assert rect.preimage_of(Subspace.zero(GF5, 2)) == Subspace(GF5, 3, [[3, 1, 1]])
+    # n x 0 matrices, and two 2 x 3 generators, against the duality formula
+    flat = MatSpace.of(Mat.zeros(GF5, 2, 0))
+    assert flat.preimage_of(Subspace.zero(GF5, 2)) == Subspace.full(GF5, 0)
+    rect2 = MatSpace.from_spanning([Mat.from_ints(GF5, [[1, 2, 0], [0, 1, 4]]),
+                                    Mat.from_ints(GF5, [[0, 0, 1], [3, 0, 0]])])
+    for sp in (flat, rect2):
+        for w in (Subspace.zero(GF5, 2), Subspace(GF5, 2, [[1, 3]]), Subspace.full(GF5, 2)):
+            assert sp.preimage_of(w) == sp.transpose_space().image_of(w.orthogonal()).orthogonal()
 
 
 def test_preimage_is_adjoint_of_image():
