@@ -96,7 +96,7 @@ def load_subspace(path: str, field) -> Subspace:
 
 def _scalar_rows(field, rows, what: str) -> list[list]:
     """A JSON array of arrays of scalars, parsed over field."""
-    return [[field.scalar_from_json(e) for e in _json_typed(row, list, what)]
+    return [field.row_from_json(_json_typed(row, list, what))
             for row in _json_typed(rows, list, what)]
 
 

@@ -142,26 +142,50 @@ def _eliminate(f: Field, rows, basis=(), pivots=(), reduced=True):
     rows.  Returns (basis, pivots, leads) with new lists: leads[i] is row i's
     leading entry before scaling, or None when row i added nothing.  A full
     echelon, one pivot per column, absorbs every row without reducing it.
+
+    Over GF(p), long rows in large batches are packed (PrimeField.pack): a row
+    is updated Y + (-c) X, c read off Y and X an echelon row below p, at most
+    n - 1 times, so its slots stay below n p^2.  When reduced, the echelon is
+    cleared at return, last row first, by the finished rows after it.
     """
+    n = len(rows[0]) if rows else 0
+    packs = f.packs(n, n, len(rows))
     basis, pivots, leads = list(basis), list(pivots), []
+    packed = [f.pack(r) for r in basis] if packs else None
     nonzero, axpy = f.nonzero, f.axpy_row
     for v in rows:
         if len(pivots) == len(v):
             leads.append(None)
             continue
-        for piv, row in zip(pivots, basis):
-            if nonzero(v[piv]):
-                v = axpy(v[piv], row, v)
+        if not packs:
+            for piv, row in zip(pivots, basis):
+                if nonzero(v[piv]):
+                    v = axpy(v[piv], row, v)
+        else:
+            x = x0 = f.pack(v)
+            for piv, row in zip(pivots, packed):
+                c = f.entry(x, piv)
+                if c:
+                    x += f.neg(c) * row
+            v = f.unpack(x, n) if x != x0 else v  # untouched, v keeps its entries
         col = next(compress(count(), map(nonzero, v)), None)
         leads.append(None if col is None else v[col])
         if col is None:
             continue
         v = f.scale_row(f.inv(v[col]), v)
-        if reduced:
+        if packs:
+            packed.append(f.pack(v, reduced=True))
+        elif reduced:
             basis = [axpy(row[col], v, row) if nonzero(row[col]) else row
                      for row in basis]
         basis.append(v)
         pivots.append(col)
+    if packs and reduced:
+        for k in range(len(basis) - 2, -1, -1):
+            cs = [f.neg(basis[k][piv]) for piv in pivots[k + 1:]]
+            if any(cs):
+                basis[k] = f.combine([1] + cs, packed[k:], n)
+                packed[k] = f.pack(basis[k], reduced=True)
     return basis, pivots, leads
 
 

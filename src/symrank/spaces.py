@@ -16,7 +16,7 @@ from .linalg import Mat, Subspace, _eliminate, kernel, solve
 class MatSpace:
     """Linear span of matrices, stored as a linearly independent basis."""
 
-    __slots__ = ("field", "nrows", "ncols", "gens", "_echelon")
+    __slots__ = ("field", "nrows", "ncols", "gens", "_echelon", "_cols", "_stack")
 
     def __init__(self, field: Field, nrows: int, ncols: int, gens):
         self.field = field
@@ -28,6 +28,7 @@ class MatSpace:
             if g.nrows != nrows or g.ncols != ncols:
                 raise DimMismatch("generator shape mismatch")
         self._echelon = None  # (basis, pivots) of the flattened gens, built on demand
+        self._cols = self._stack = None  # generators side by side, built on demand
 
     @staticmethod
     def from_spanning(mats: list[Mat], field: Field | None = None,
@@ -108,8 +109,14 @@ class MatSpace:
         if u.ambient_dim != self.ncols:
             raise DimMismatch(f"subspace lives in F^{u.ambient_dim}, "
                               f"matrices act on F^{self.ncols}")
-        vecs = [g.apply(v) for g in self.gens for v in u.basis]
-        return Subspace(self.field, self.nrows, vecs)
+        f, m, n = self.field, len(self.gens), self.nrows
+        if not f.packs(m * n, self.ncols, m * u.dim):
+            return Subspace(f, n, [g.apply(v) for g in self.gens for v in u.basis])
+        if self._cols is None:  # B v = sum_j v[j] col_j, col_j column j of all B stacked
+            self._cols = [f.pack([r[j] for g in self.gens for r in g.rows])
+                          for j in range(self.ncols)]
+        xs = [f.combine(v, self._cols, m * n) for v in u.basis]
+        return Subspace(f, n, [x[k * n:(k + 1) * n] for x in xs for k in range(m)])
 
     def preimage_of(self, w: Subspace) -> Subspace:
         """Largest T with B(T) <= w for every generator B.
@@ -125,9 +132,10 @@ class MatSpace:
         if w.ambient_dim != self.nrows:
             raise DimMismatch(f"subspace lives in F^{w.ambient_dim}, "
                               f"matrices map into F^{self.nrows}")
-        stack = [list(chain.from_iterable(g.rows[i] for g in self.gens))
-                 for i in range(self.nrows)]
-        rows = []
+        if self._stack is None:
+            self._stack = [list(chain.from_iterable(g.rows[i] for g in self.gens))
+                           for i in range(self.nrows)]
+        stack, rows = self._stack, []
         for j in sorted(set(range(self.nrows)).difference(w.pivots)):
             x = stack[j]
             for r, p in zip(w.basis, w.pivots):

@@ -194,6 +194,19 @@ def test_is_zero_is_not_nonzero():
         assert f.is_zero(a) == (not f.nonzero(a)) == (a % 7 == 0)
 
 
+@pytest.mark.parametrize("bad", [2.5, True, "3", None, [1]])
+def test_prime_row_from_json_matches_the_entrywise_parse(bad):
+    # the row parse reduces whole integer rows and refuses a bad entry with
+    # the per-entry message
+    f = PrimeField(7)
+    assert f.row_from_json([0, -1, 9, 7**30 + 2]) == [0, 6, 2, 2]
+    with pytest.raises(ValueError) as entry:
+        f.scalar_from_json(bad)
+    with pytest.raises(ValueError) as row:
+        f.row_from_json([1, bad, 3])
+    assert str(row.value) == str(entry.value)
+
+
 def test_distinct_elements():
     assert distinct_elements(PrimeField(7), 3) == [0, 1, 2]
     assert distinct_elements(RationalField(), 4) == [Fraction(i) for i in range(4)]

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from symrank import (Mat, MatSpace, PrimeField, RationalField, Subspace,
                      first_wong, image, kernel, pseudo_inverse, rref, second_wong)
-from symrank.fields import ExtensionField, Field, _find_irreducible
+from symrank.fields import PACK_MIN, PACK_MIN_ROWS, ExtensionField, Field, _find_irreducible
 from symrank.linalg import _eliminate
 from symrank.spaces import run_to_fixpoint
 
@@ -226,3 +226,111 @@ def test_preimage_matches_duality_formula(data):
         st.just(Subspace.zero(f, nrows)), st.just(Subspace.full(f, nrows)),
         st.lists(vectors(f, nrows), max_size=nrows).map(lambda rows: Subspace(f, nrows, rows))))
     assert sp.preimage_of(w) == sp.transpose_space().image_of(w.orthogonal()).orthogonal()
+
+
+# -- packed GF(p) rows -------------------------------------------------------
+
+PACKED_FIELDS = [PrimeField(2), PrimeField(7), PrimeField(101), PrimeField(65537),
+                 PrimeField(2**61 - 1)]
+PACKED_IDS = ["gf2", "gf7", "gf101", "gf65537", "gf2^61-1"]
+
+
+class ListRows(PrimeField):
+    """GF(p) on list rows only: the kernels the packed rows must agree with."""
+
+    def packs(self, n, terms, rows):
+        return False
+
+
+def raw_vectors(f, n):
+    # entries below 0 and at or above p, as a Mat built from ints may hold
+    return st.lists(st.one_of(st.just(0), st.integers(-2 * f.p, 3 * f.p)),
+                    min_size=n, max_size=n)
+
+
+@st.composite
+def raw_rows(draw, f, n, max_rows):
+    """Rows of n raw entries, some of them combinations of earlier rows
+    shifted by multiples of p, so that dependent rows are common."""
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        if rows and draw(st.booleans()):
+            cs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+            shift = draw(st.integers(-2, 2)) * f.p
+            rows.append([sum(c * r[j] for c, r in zip(cs, rows)) + shift for j in range(n)])
+        else:
+            rows.append(draw(raw_vectors(f, n)))
+    return rows
+
+
+def _reduced_leads(f, leads):
+    return [None if c is None else c % f.p for c in leads]
+
+
+@pytest.mark.parametrize("f", PACKED_FIELDS, ids=PACKED_IDS)
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_packed_elimination_matches_list_rows(f, data):
+    # row lengths on both sides of PACK_MIN, batches on both sides of PACK_MIN_ROWS
+    lf = ListRows(f.p)
+    n = data.draw(st.integers(1, 40))
+    rows = data.draw(raw_rows(f, n, 4 * PACK_MIN_ROWS + 2))  # GF(2) packs from 21 rows
+    if data.draw(st.booleans()):  # rows past a full echelon
+        at = data.draw(st.integers(0, len(rows)))
+        rows[at:at] = Mat.identity(f, n).rows
+    for reduced in (True, False):
+        given_rows = data.draw(raw_rows(f, n, 3))
+        basis, pivots, _ = _eliminate(lf, given_rows, reduced=reduced)
+        for echelon in ((), (basis, pivots)):
+            got = _eliminate(f, rows, *echelon, reduced=reduced)
+            assert got == _eliminate(lf, rows, *echelon, reduced=reduced)
+            ref_basis, ref_pivots, ref_leads = _reference_eliminate(
+                f, [[a % f.p for a in r] for r in rows], *echelon)
+            assert (got[1], _reduced_leads(f, got[2])) == (ref_pivots, ref_leads)
+            if not reduced:
+                assert got[0] == ref_basis
+            else:  # the same rows, reduced: one at the own pivot, zero at the others
+                assert all(0 <= a < f.p for r in got[0] for a in r)
+                assert all(r[q] == (k == i) for k, r in enumerate(got[0])
+                           for i, q in enumerate(got[1]))
+                assert Subspace(lf, n, got[0]) == Subspace(lf, n, ref_basis)
+
+
+# The largest primes with 12 p^2 <= 2^64 and <= 2^65: 12-entry rows pack over
+# the first and not over the second, whose slots would reach 11 (p - 1)^2 > 2^64.
+P_EDGE, P_PAST = 1239850223, 1753413037
+
+
+@pytest.mark.parametrize("p", [P_EDGE, P_PAST])
+def test_packed_slots_at_the_bound(p):
+    # rows 0..10 are e_k + (p - 1)(e_{k+1} + ... + e_11); the last row makes
+    # every multiplier 1, so slot j of it gets j (p - 1)^2 added
+    f, n = PrimeField(p), PACK_MIN
+    rows = [[0] * k + [1] + [p - 1] * (n - 1 - k) for k in range(n - 1)]
+    rows.append([(1 - j) % p for j in range(n)])
+    for reduced in (True, False):
+        assert _eliminate(f, rows, reduced=reduced) == _eliminate(ListRows(p), rows,
+                                                                  reduced=reduced)
+    assert Mat(f, rows).rank() == n
+    assert f.packs(n, n, len(rows)) == (p == P_EDGE)
+
+
+@pytest.mark.parametrize("f", PACKED_FIELDS, ids=PACKED_IDS)
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_packed_image_and_preimage(f, data):
+    # m * dim u on both sides of fields.PACK_MIN_ROWS, m * n of PACK_MIN;
+    # the list-row space's duality formula is the reference for the preimage
+    lf = ListRows(f.p)
+    m = data.draw(st.integers(1, 6))
+    nrows, ncols = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    gens = [Mat(f, data.draw(st.lists(raw_vectors(f, ncols), min_size=nrows,
+                                      max_size=nrows))) for _ in range(m)]
+    sp = MatSpace.from_spanning(gens, f, nrows, ncols)
+    lsp = MatSpace(lf, nrows, ncols, [Mat(lf, g.rows) for g in sp.gens])
+    for _ in range(2):  # the second call reuses the cached columns and stack
+        u = Subspace(f, ncols, data.draw(raw_rows(f, ncols, ncols + 1)))
+        assert sp.image_of(u) == Subspace(f, nrows, [g.apply(v) for g in sp.gens
+                                                     for v in u.basis])
+        w = Subspace(f, nrows, data.draw(raw_rows(f, nrows, nrows + 1)))
+        assert sp.preimage_of(w) == lsp.transpose_space().image_of(w.orthogonal()).orthogonal()
