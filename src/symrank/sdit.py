@@ -32,26 +32,30 @@ class TriOutcome:
 
 
 def _tri(mats: list[Mat], n: int, field) -> TriOutcome:
+    """One level: the first witness among the generators' first-Wong limits U*,
+    else recursion on the quotient by the first nonzero U*. Limits are taken in
+    order up to that one, the rest only after a sub-outcome that is not
+    nonsingular: a nonsingular one makes the space nonsingular, so no witness."""
     m = len(mats)
     ck = kernel(Mat(field, [r for b in mats for r in b.rows]))  # common kernel
     if ck.dim > 0:
         return TriOutcome("witness", witness=ck)
 
     span = MatSpace(field, n, n, mats)  # unpruned, so coefficients index mats
-    limits = [first_wong(b, span).limit for b in mats]
-    for u_star in limits:
-        if verify_witness(span, u_star, 1):
+    limits = (first_wong(b, span).limit for b in mats)
+    for j, u_star in enumerate(limits):
+        bu = span.image_of(u_star)
+        if bu.dim < u_star.dim:
             return TriOutcome("witness", witness=u_star)
-    j = next((i for i, u in enumerate(limits) if u.dim > 0), None)
-    if j is None:
+        if u_star.dim > 0:
+            break
+    else:
         return TriOutcome("fail")
 
-    u_star = limits[j]
     if u_star.dim == n:
         # nothing left to recurse on; B_j alone is nonsingular on the block
         sub = TriOutcome("nonsingular", coefficients=[field.zero] * m)
     else:
-        bu = span.image_of(u_star)           # same dimension as u_star here
         # quotient maps F^n -> F^n/U*: their kernels are U* and B(U*)
         perp = u_star.orthogonal()
         p = perp.basis_matrix()
@@ -62,6 +66,10 @@ def _tri(mats: list[Mat], n: int, field) -> TriOutcome:
         induced = [q.matmul(b).matmul(r) for b in mats]
         sub = _tri(induced, n - u_star.dim, field)
 
+        if sub.kind != "nonsingular":
+            later = next((u for u in limits if verify_witness(span, u, 1)), None)
+            if later is not None:
+                return TriOutcome("witness", witness=later)
         if sub.kind == "witness":
             return TriOutcome("witness", witness=MatSpace.of(p).preimage_of(sub.witness))
         if sub.kind == "fail":

@@ -8,9 +8,13 @@ import pytest
 from symrank import (Mat, MatSpace, PrimeField, RationalField,
                      is_triangularizable_with_nonsingular, rational_sdit,
                      tri_algo, verify_witness)
+from symrank import sdit
 from symrank.errors import EmptySpace, FieldTooSmall, NotMember, NotSquare, SingularS
+from symrank.fields import distinct_elements
+from symrank.linalg import kernel
 from symrank.oracles import sk3
 from symrank.sdit import TriOutcome, _int_det, check_outcome, integer_nonsingular
+from symrank.wong import first_wong
 from conftest import GF5, GF7, rand_nonsingular, upper_triangular
 
 
@@ -77,6 +81,109 @@ def test_tri_algo_rejects_rectangular():
 def test_tri_algo_rejects_empty_space():
     with pytest.raises(EmptySpace):
         tri_algo(MatSpace(GF5, 2, 2, []))
+
+
+def _eager_tri(mats, n, field):
+    """The recursion with every first-Wong limit of a level taken before any is
+    looked at: the first witness among them, else the first nonzero one."""
+    m = len(mats)
+    ck = kernel(Mat(field, [r for b in mats for r in b.rows]))
+    if ck.dim > 0:
+        return TriOutcome("witness", witness=ck)
+    span = MatSpace(field, n, n, mats)
+    limits = [first_wong(b, span).limit for b in mats]
+    for u_star in limits:
+        if verify_witness(span, u_star, 1):
+            return TriOutcome("witness", witness=u_star)
+    j = next((i for i, u in enumerate(limits) if u.dim > 0), None)
+    if j is None:
+        return TriOutcome("fail")
+    u_star = limits[j]
+    if u_star.dim == n:
+        sub = TriOutcome("nonsingular", coefficients=[field.zero] * m)
+    else:
+        perp = u_star.orthogonal()
+        q = span.image_of(u_star).orthogonal().basis_matrix()
+        unit = Mat.identity(field, n).rows
+        r = Mat(field, [unit[c] for c in perp.pivots]).transpose()
+        sub = _eager_tri([q.matmul(b).matmul(r) for b in mats], n - u_star.dim, field)
+        if sub.kind == "witness":
+            return TriOutcome("witness", witness=MatSpace.of(
+                perp.basis_matrix()).preimage_of(sub.witness))
+        if sub.kind == "fail":
+            return TriOutcome("fail")
+    e = span.element(sub.coefficients)
+    for lam in distinct_elements(field, n + 1):
+        for mu in distinct_elements(field, n + 1):
+            if mats[j].scale(lam).add(e.scale(mu)).rank() == n:
+                coeffs = [field.mul(mu, c) for c in sub.coefficients]
+                coeffs[j] = field.add(coeffs[j], lam)
+                return TriOutcome("nonsingular", coefficients=coeffs)
+    raise AssertionError("no nonsingular combination")
+
+
+def _small_spaces(seed, count):
+    """Seeded square spaces over GF(5) and GF(7) with n <= 4 and m <= 4 generators:
+    raw, upper triangular, or upper triangular conjugated by random nonsingular
+    matrices. Entries are zero half the time, and in half of the triangular
+    spaces one diagonal position is zero in every generator, so that witnesses
+    are common."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        f = rng.choice((GF5, GF7))
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        kind = rng.choice(("raw", "upper", "conj"))
+        z = rng.randrange(n) if rng.random() < 0.5 else None
+
+        def entry(i, j):
+            if kind != "raw" and (i > j or i == j == z):
+                return 0
+            return rng.randrange(f.p) if rng.random() < 0.5 else 0
+        gens = [Mat.from_ints(f, [[entry(i, j) for j in range(n)] for i in range(n)])
+                for _ in range(m)]
+        if kind == "conj":
+            q, p = rand_nonsingular(rng, f, n), rand_nonsingular(rng, f, n)
+            gens = [q.matmul(b).matmul(p) for b in gens]
+        yield MatSpace(f, n, n, gens)
+
+
+def test_tri_algo_matches_eager_reference():
+    kinds = set()
+    for sp in _small_spaces(6, 400):
+        out = tri_algo(sp)
+        assert out == _eager_tri(sp.gens, sp.nrows, sp.field)
+        kinds.add(out.kind)
+    assert kinds == {"nonsingular", "witness", "fail"}
+
+
+def test_tri_algo_witness_from_a_later_limit():
+    # corpus instance 299, over GF(5): B_1's limit is nonzero and no witness, so
+    # the level recurses on it; the recursion ends in a witness, and a later
+    # generator's limit, taken only then, is another witness, which the eager
+    # order returns first
+    sp = list(_small_spaces(6, 300))[299]
+    assert [b.rows for b in sp.gens] == [[[0, 0, 0], [0, 0, 3], [0, 0, 0]],
+                                         [[1, 4, 4], [0, 0, 0], [0, 0, 0]],
+                                         [[3, 0, 0], [0, 0, 0], [0, 0, 0]]]
+    limits = [first_wong(b, sp).limit for b in sp.gens]
+    assert limits[0].dim > 0 and not verify_witness(sp, limits[0], 1)
+    out = tri_algo(sp)
+    assert out.kind == "witness" and out.witness in limits[1:]
+    assert out == _eager_tri(sp.gens, sp.nrows, sp.field)
+
+
+def test_tri_algo_stops_at_a_nonsingular_first_generator(monkeypatch):
+    calls = []
+
+    def counted(a, sp):
+        calls.append(a)
+        return first_wong(a, sp)
+    monkeypatch.setattr(sdit, "first_wong", counted)
+    rng = random.Random(5)
+    sp = MatSpace(GF7, 3, 3, [rand_nonsingular(rng, GF7, 3),
+                              upper_triangular(rng, GF7, 3), upper_triangular(rng, GF7, 3)])
+    out = tri_algo(sp)
+    assert out.kind == "nonsingular" and len(calls) == 1
 
 
 def test_tri_test_upper_triangular():
