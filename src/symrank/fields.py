@@ -450,10 +450,7 @@ class ExtensionField(Field):
     def axpy_row(self, c, x, y) -> list:
         log = self._log
         if log is None:
-            if any(c[1:]):
-                return Field.axpy_row(self, c, x, y)
-            p, c0 = self.p, c[0]   # c in GF(p): coordinate by coordinate
-            return [tuple((v - c0 * u) % p for u, v in zip(a, b)) for a, b in zip(x, y)]
+            return Field.axpy_row(self, c, x, y)
         lc = log[c]
         if lc is None:
             return list(y)

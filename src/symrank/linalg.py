@@ -68,13 +68,14 @@ class Mat:
     def add(self, other: "Mat") -> "Mat":
         self._check(other)
         f = self.field
-        minus_one = f.neg(f.one)
-        return Mat(f, [f.axpy_row(minus_one, r2, r1) for r1, r2 in zip(self.rows, other.rows)])
+        return Mat(f, [[f.add(a, b) for a, b in zip(r1, r2)]
+                       for r1, r2 in zip(self.rows, other.rows)])
 
     def sub(self, other: "Mat") -> "Mat":
         self._check(other)
         f = self.field
-        return Mat(f, [f.axpy_row(f.one, r2, r1) for r1, r2 in zip(self.rows, other.rows)])
+        return Mat(f, [[f.sub(a, b) for a, b in zip(r1, r2)]
+                       for r1, r2 in zip(self.rows, other.rows)])
 
     def scale(self, c) -> "Mat":
         f = self.field

@@ -106,21 +106,17 @@ def test_membership_agrees_with_rank_growth(data):
     assert sp.contains(Mat(f, [v])) == (not grows)
 
 
-@pytest.mark.parametrize("f", FIELDS + [PrimeField(65537), ExtensionField(
-    101, 2, _find_irreducible(101, 2))], ids=FIELD_IDS + ["gf65537", "gf101^2"])
+@pytest.mark.parametrize("f", FIELDS + [PrimeField(65537)], ids=FIELD_IDS + ["gf65537"])
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(data=st.data())
 def test_row_operations_match_generic(f, data):
-    # each field's own row kernels against Field's generic scalar loops; GF(101^2)
-    # has no tables, and integer scalars lie in the prime field of every field
+    # each field's own row kernels against Field's generic scalar loops
     n = data.draw(st.integers(0, 8))
     x, y = data.draw(vectors(f, n)), data.draw(vectors(f, n))
-    c = data.draw(st.one_of(scalars(f), st.integers(0, 6).map(f.from_int)))
+    c = data.draw(scalars(f))
     assert f.axpy_row(c, x, y) == Field.axpy_row(f, c, x, y)
     assert f.scale_row(c, x) == Field.scale_row(f, c, x)
     assert f.dot(x, y) == Field.dot(f, x, y)
-    assert Mat(f, [y]).add(Mat(f, [x])).rows == [list(map(f.add, y, x))]
-    assert Mat(f, [y]).sub(Mat(f, [x])).rows == [list(map(f.sub, y, x))]
 
 
 def _reference_eliminate(f, rows, basis=(), pivots=()):
