@@ -358,8 +358,8 @@ def verify_certificate(sp: MatSpace, cert: dict) -> bool:
         u_prime = _subspace_from_json(sp.field, sp.ncols, cert["uprime_basis"])
         if status == "found":
             ell = _json_int(cert["ell"])
-            if ell < 0:
-                raise ValueError(f"negative exponent ell {ell}")
+            if not 0 <= ell <= sp.nrows:
+                raise ValueError(f"exponent ell {ell} is outside 0..{sp.nrows}")
             coeffs = _coefficients(sp.field.scalar_from_json, cert)
             return _power_escapes(sp.element(coeffs), ell, u, u_prime)
         rebuilt = po_certificate(sp, u, u_prime)
@@ -367,6 +367,12 @@ def verify_certificate(sp: MatSpace, cert: dict) -> bool:
         rebuilt = wong_certificate(sp, cert["anchor"], cert["kind"])
     elif algo == "oracle":
         counts = (_json_int(cert["enumerated_elements"]), _json_int(cert["enumerated_subspaces"]))
+        # the counts set the rebuild's budget, so they must be the instance's own;
+        # over Q (no cardinality) the rebuild refuses to enumerate
+        card = sp.field.cardinality()
+        if card is not None and counts != (card ** sp.dim,
+                                           oracles.count_subspaces(sp.ncols, card)):
+            return False
         rebuilt = oracle_certificate(sp, max(oracles.DEFAULT_BUDGET, *counts))
     elif algo == "tri_test":
         rebuilt = tri_test_certificate(sp, cert["pivot"])

@@ -93,22 +93,17 @@ def helpful_subspaces(inst: PoInstance, ell: int,
     spaces = []
     for i in range(ell):
         eq_rows = [r for j, rows in enumerate(eqs) if j != i for r in rows]
-        if eq_rows:
-            coords = kernel(Mat(f, eq_rows)).basis
-            mats = [d.element(c) for c in coords]
-        else:
-            coords = Mat.identity(f, d.dim).rows
-            mats = list(d.gens)
-        spaces.append(HelperSpace(d, mats, coords))
+        coords = kernel(Mat(f, eq_rows, d.dim)).basis
+        spaces.append(HelperSpace(d, [d.element(c) for c in coords], coords))
     return spaces
 
 
 def solve_po(inst: PoInstance) -> PoAnswer:
     """Greedy construction of (X, ell) from the helpful subspaces.
 
-    Fixes X_ell, then X_{ell-1}, ..., X_1 from the respective bases so the
-    single product X_ell ... X_1 pulls U out of U'; the sum X_1 + ... + X_ell
-    then has the same overflow at exponent ell.
+    Fixes X_ell, then X_{ell-1}, ..., X_1 from the respective bases so each
+    X_i maps H_(i-1) ... H_1(U) out of U' pulled back through the chosen
+    X_ell ... X_(i+1); the sum X_1 + ... + X_ell then overflows at exponent ell.
     """
     d, u, u_prime = inst.d, inst.u, inst.u_prime
     ell, images = find_ell(inst)
@@ -121,18 +116,16 @@ def solve_po(inst: PoInstance) -> PoAnswer:
         prefixes.append(h.image_of(prefixes[-1]))
 
     f = d.field
-    n = d.nrows
-    suffix = Mat.identity(f, n)
+    target = u_prime
     coords = [f.zero] * d.dim
     for i in range(ell, 0, -1):
         h = helpers[i - 1]
         for g, c in zip(h.gens, h.coords):
-            trial = suffix.matmul(g)
-            if not u_prime.contains(MatSpace.of(trial).image_of(prefixes[i - 1])):
+            if not target.contains(MatSpace.of(g).image_of(prefixes[i - 1])):
                 break
         else:
             return PoAnswer(found=False)
-        suffix = trial
+        target = MatSpace.of(g).preimage_of(target)
         coords = [f.add(x, y) for x, y in zip(coords, c)]
     x = d.element(coords)
     assert _power_escapes(x, ell, u, u_prime), "power overflow check failed"

@@ -58,12 +58,10 @@ def _tri(mats: list[Mat], n: int, field) -> TriOutcome:
     else:
         # quotient maps F^n -> F^n/U*: their kernels are U* and B(U*)
         perp = u_star.orthogonal()
-        p = perp.basis_matrix()
         q = bu.orthogonal().basis_matrix()
-        # right inverse of p, which is in RREF: the identity's columns at its pivots
-        unit = Mat.identity(field, n).rows
-        r = Mat(field, [unit[c] for c in perp.pivots]).transpose()
-        induced = [q.matmul(b).matmul(r) for b in mats]
+        # b at perp's pivot columns is b times a right inverse of perp's RREF basis
+        induced = [q.matmul(Mat(field, [[r[c] for c in perp.pivots] for r in b.rows]))
+                   for b in mats]
         sub = _tri(induced, n - u_star.dim, field)
 
         if sub.kind != "nonsingular":
@@ -71,6 +69,7 @@ def _tri(mats: list[Mat], n: int, field) -> TriOutcome:
             if later is not None:
                 return TriOutcome("witness", witness=later)
         if sub.kind == "witness":
+            p = perp.basis_matrix()
             return TriOutcome("witness", witness=MatSpace.of(p).preimage_of(sub.witness))
         if sub.kind == "fail":
             return TriOutcome("fail")

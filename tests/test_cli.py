@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from symrank import oracles
 from symrank.cli import build_parser, main
 
 
@@ -343,6 +344,8 @@ TAMPER_CASES = [
     _tamper("po", _set(ell=True), 1, "bool-ell"),
     _tamper("po", _set(ell=1.0), 1, "float-ell"),
     _tamper("po", _set(ell=-1, u_basis=[[1, 0]]), 1, "negative-ell"),
+    # verify applies the combination ell times: an ell past n is refused, not run
+    _tamper("po", _set(ell=3), 1, "ell-past-n"),
     _tamper("sdit-tri-mod-p", _set(coefficients=[1.7, 1.2]), 1, "float-coefficients"),
     _tamper("sdit-tri-mod-p", _set(coefficients=[True, True]), 1, "bool-coefficients"),
     _tamper("sdit-tri-mod-p", _set(coefficients=[1, 1, 5, 7]), 1, "extra-coefficients"),
@@ -420,6 +423,29 @@ def test_verify_rejects_tampered_field(tmp_path, capsys, command, mutate, code):
     write_json(tmp_path / "cert.json", data if replaced is None else replaced)
     assert main(["verify", inst, "--cert", cert]) == code
     assert "PASS" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key", ["enumerated_elements", "enumerated_subspaces"])
+def test_verify_checks_oracle_counts_before_enumerating(tmp_path, capsys, monkeypatch, key):
+    # the counts set the rebuild's budget, so a false one must fail before
+    # anything is enumerated
+    inst, cert = _emit(tmp_path, "oracle")
+    data = json.loads(open(cert).read())
+    data[key] = 10 ** 12
+    write_json(tmp_path / "cert.json", data)
+
+    def refuse(*args):
+        raise AssertionError("verify enumerated before checking the counts")
+
+    monkeypatch.setattr(oracles, "brute_max_rank", refuse)
+    assert main(["verify", inst, "--cert", cert]) == 2
+    assert capsys.readouterr().out.strip() == "FAIL"
+    # over Q there is nothing to count: the rebuild refuses, exit 1
+    monkeypatch.undo()
+    field, basis = TAMPER_INSTANCES["half"]
+    rational = write_json(tmp_path / "half.json", {
+        "field": field, "n": 2, "n_cols": 2, "basis": basis})
+    assert main(["verify", rational, "--cert", cert]) == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,10 +3,10 @@
 import itertools
 import random
 
-from symrank import (Mat, MatSpace, PoInstance, Subspace, find_ell,
-                     helpful_subspaces, solve_po)
+from symrank import (Mat, MatSpace, PoAnswer, PoInstance, RationalField, Subspace,
+                     find_ell, helpful_subspaces, solve_po)
 from symrank.po import _power_escapes
-from conftest import GF5, rank_one_space, rand_subspace
+from conftest import GF5, GF7, rank_one_space, rand_subspace
 
 
 def jordan_instance():
@@ -52,6 +52,7 @@ def test_helpful_subspaces_ell_one_is_whole_space():
     assert ell == 1
     hs = helpful_subspaces(inst, ell, traces)
     assert hs[0].dim == d.dim
+    assert hs[0].gens == d.gens
 
 
 def test_solve_po_jordan():
@@ -116,3 +117,96 @@ def test_solve_po_matches_brute_on_rank_one():
             d = sp.element(ans.coefficients)
             assert _power_escapes(d, ans.ell, inst.u, inst.u_prime)
         done += 1
+
+
+def chain_instance(f, coeffs, q=None):
+    """Generator k is sum_i coeffs[k][i] E_(i, i+1) in F^n, n = len(coeffs[k]) + 1,
+    with U = <e_n> and U' = <e_2, ..., e_n>; all of it taken through q when given."""
+    n = len(coeffs[0]) + 1
+    gens = [Mat.from_ints(f, [[row[r] if c == r + 1 else 0 for c in range(n)]
+                              for r in range(n)]) for row in coeffs]
+    cols = Mat.identity(f, n).rows
+    if q is not None:
+        q_inv = q.inverse()
+        gens = [q.matmul(g).matmul(q_inv) for g in gens]
+        cols = q.transpose().rows
+    return PoInstance(MatSpace.from_spanning(gens, f, n, n),
+                      Subspace(f, n, cols[n - 1:]), Subspace(f, n, cols[1:]))
+
+
+def test_solve_po_forms_no_product(monkeypatch):
+    # the greedy acts on subspaces only: U' is pulled back, never multiplied out
+    instances = [(jordan_instance(), 2),
+                 (chain_instance(GF5, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 3)]
+
+    def refuse(self, other):
+        raise AssertionError("solve_po formed a matrix product")
+
+    monkeypatch.setattr(Mat, "matmul", refuse)
+    for inst, ell in instances:
+        ans = solve_po(inst)
+        assert ans.found and ans.ell == ell
+
+
+def suffix_product_po(inst):
+    """The greedy with the suffix product X_ell ... X_(i+1) formed, as it was
+    before solve_po pulled U' back instead: the reference for the test below."""
+    d, u, u_prime = inst.d, inst.u, inst.u_prime
+    ell, images = find_ell(inst)
+    if ell is None:
+        return PoAnswer(found=False)
+    helpers = helpful_subspaces(inst, ell, images)
+
+    prefixes = [u]
+    for h in helpers[:-1]:
+        prefixes.append(h.image_of(prefixes[-1]))
+
+    f = d.field
+    n = d.nrows
+    suffix = Mat.identity(f, n)
+    coords = [f.zero] * d.dim
+    for i in range(ell, 0, -1):
+        h = helpers[i - 1]
+        for g, c in zip(h.gens, h.coords):
+            trial = suffix.matmul(g)
+            if not u_prime.contains(MatSpace.of(trial).image_of(prefixes[i - 1])):
+                break
+        else:
+            return PoAnswer(found=False)
+        suffix = trial
+        coords = [f.add(x, y) for x, y in zip(coords, c)]
+    return PoAnswer(found=True, ell=ell, coefficients=coords)
+
+
+def _po_corpus(rng):
+    """Random rank-1 spaces and bidiagonal chains over GF(5) and GF(7), a few over Q."""
+    for f, count in ((GF5, 20), (GF7, 20), (RationalField(), 5)):
+        def entries(rows, cols):
+            return [[rng.randrange(f.spec.p) if f.spec.p else rng.randint(-2, 2)
+                     for _ in range(cols)] for _ in range(rows)]
+
+        for _ in range(count):
+            n = rng.randint(2, 5)
+            gens = [Mat.from_ints(f, entries(n, 1)).matmul(Mat.from_ints(f, entries(1, n)))
+                    for _ in range(rng.randint(1, 3))]
+            sp = MatSpace.from_spanning(gens, f, n, n)
+            u, u_prime = (Subspace(f, n, Mat.from_ints(f, entries(rng.randint(0, n), n)).rows)
+                          for _ in range(2))
+            if sp.dim > 0:
+                yield PoInstance(sp, u, u_prime)
+            coeffs = entries(rng.randint(1, n), n - 1)
+            q = Mat.from_ints(f, entries(n, n))
+            if any(any(row) for row in coeffs):
+                yield chain_instance(f, coeffs, q if q.rank() == n else None)
+
+
+def test_solve_po_matches_suffix_product_greedy():
+    rng = random.Random(29)
+    greedy_no = found = 0
+    for inst in _po_corpus(rng):
+        ans, ref = solve_po(inst), suffix_product_po(inst)
+        assert (ans.found, ans.ell, ans.coefficients) == \
+            (ref.found, ref.ell, ref.coefficients)
+        found += ans.found
+        greedy_no += not ans.found and find_ell(inst)[0] is not None
+    assert found > 0 and greedy_no > 0
