@@ -20,7 +20,7 @@ from typing import Optional
 from .errors import EmptySpace, FieldTooSmall, NotMember, NotSquare, SingularS
 from .fields import FieldSpec, _is_prime, distinct_elements, make_field
 from .linalg import Mat, Subspace, kernel
-from .spaces import MatSpace, run_to_fixpoint
+from .spaces import MatSpace, _grow
 from .wong import first_wong, verify_witness
 
 
@@ -31,18 +31,25 @@ class TriOutcome:
     witness: Optional[Subspace] = None
 
 
-def _tri(mats: list[Mat], n: int, field) -> TriOutcome:
+def _tri(mats: list[Mat], n: int, field, skip: Optional[int] = None) -> TriOutcome:
     """One level: the first witness among the generators' first-Wong limits U*,
     else recursion on the quotient by the first nonzero U*. Limits are taken in
     order up to that one, the rest only after a sub-outcome that is not
-    nonsingular: a nonsingular one makes the space nonsingular, so no witness."""
+    nonsingular: a nonsingular one makes the space nonsingular, so no witness.
+
+    skip is the generator B_j whose limit U* the level above recursed on. There
+    B(U*) = B_j(U*), and U* lies in every term, so B_j's sequence here, pulled
+    back, is U_(i+1) = B^-1(B_j(U_i) + B(U*)) = B^-1(B_j(U_i)): the sequence
+    above, whose limit U* is 0 here. A zero limit is never a witness nor the
+    one recursed on, so it is not computed."""
     m = len(mats)
     ck = kernel(Mat(field, [r for b in mats for r in b.rows]))  # common kernel
     if ck.dim > 0:
         return TriOutcome("witness", witness=ck)
 
     span = MatSpace(field, n, n, mats)  # unpruned, so coefficients index mats
-    limits = (first_wong(b, span).limit for b in mats)
+    limits = (Subspace.zero(field, n) if k == skip else first_wong(b, span).limit
+              for k, b in enumerate(mats))
     for j, u_star in enumerate(limits):
         bu = span.image_of(u_star)
         if bu.dim < u_star.dim:
@@ -62,7 +69,7 @@ def _tri(mats: list[Mat], n: int, field) -> TriOutcome:
         # b at perp's pivot columns is b times a right inverse of perp's RREF basis
         induced = [q.matmul(Mat(field, [[r[c] for c in perp.pivots] for r in b.rows]))
                    for b in mats]
-        sub = _tri(induced, n - u_star.dim, field)
+        sub = _tri(induced, n - u_star.dim, field, j)
 
         if sub.kind != "nonsingular":
             later = next((u for u in limits if verify_witness(span, u, 1)), None)
@@ -117,7 +124,8 @@ def is_triangularizable_with_nonsingular(sp: MatSpace, s: Mat) -> bool:
     With A the span of the space times s^{-1} and I, the commutators C of A
     generate an ideal J, and the space is triangularizable iff J^n(F^n) = 0.
     V <- cl(C(V)) from V = F^n gives J^k(F^n), where cl is the A-invariant
-    closure: every V is A-invariant, so cl(C(V)) = J(V).
+    closure: every V is A-invariant, so cl(C(V)) = J(V). The terms X, A(X), ...
+    of cl(X) grow, as I is in A, so each maps only the rows it adds (spaces._grow).
     """
     n = sp.nrows
     if sp.nrows != sp.ncols:
@@ -133,7 +141,7 @@ def is_triangularizable_with_nonsingular(sp: MatSpace, s: Mat) -> bool:
     comms = a_space.commutator_space()
     v = Subspace.full(sp.field, n)
     for _ in range(n):
-        v = run_to_fixpoint(a_space.image_of, comms.image_of(v))[-1]
+        v = _grow(a_space, comms.image_of(v))[0][-1]
     return v.dim == 0
 
 

@@ -10,13 +10,13 @@ from itertools import chain
 
 from .errors import DimMismatch, IdentityMissing, NotSquare
 from .fields import Field
-from .linalg import Mat, Subspace, _eliminate, kernel, solve
+from .linalg import Mat, Subspace, _eliminate, _rref_rows, kernel, solve
 
 
 class MatSpace:
     """Linear span of matrices, stored as a linearly independent basis."""
 
-    __slots__ = ("field", "nrows", "ncols", "gens", "_echelon", "_cols", "_stack")
+    __slots__ = ("field", "nrows", "ncols", "gens", "_echelon", "_cols", "_stack", "_t")
 
     def __init__(self, field: Field, nrows: int, ncols: int, gens):
         self.field = field
@@ -29,6 +29,7 @@ class MatSpace:
                 raise DimMismatch("generator shape mismatch")
         self._echelon = None  # (basis, pivots) of the flattened gens, built on demand
         self._cols = self._stack = None  # generators side by side, built on demand
+        self._t = None  # the transpose space, built on demand
 
     @staticmethod
     def from_spanning(mats: list[Mat], field: Field | None = None,
@@ -98,25 +99,32 @@ class MatSpace:
                        for rows in zip(*(self.gens[k].rows for k in used))])
 
     def transpose_space(self) -> "MatSpace":
-        return MatSpace(self.field, self.ncols, self.nrows,
-                        [g.transpose() for g in self.gens])
+        if self._t is None:
+            self._t = MatSpace(self.field, self.ncols, self.nrows,
+                               [g.transpose() for g in self.gens])
+        return self._t
 
     # -- actions on subspaces ----------------------------------------------
 
-    def image_of(self, u: Subspace) -> Subspace:
-        """Span of B(u) over all generators B and basis vectors u."""
+    def image_of(self, u: Subspace, base: Subspace | None = None) -> Subspace:
+        """Span of B(u) over all generators B and basis vectors u, plus base
+        when given: the images are merged into base's echelon."""
         self.field.check(u.field)
         if u.ambient_dim != self.ncols:
             raise DimMismatch(f"subspace lives in F^{u.ambient_dim}, "
                               f"matrices act on F^{self.ncols}")
         f, m, n = self.field, len(self.gens), self.nrows
         if not f.packs(m * n, self.ncols, m * u.dim):
-            return Subspace(f, n, [g.apply(v) for g in self.gens for v in u.basis])
-        if self._cols is None:  # B v = sum_j v[j] col_j, col_j column j of all B stacked
-            self._cols = [f.pack([r[j] for g in self.gens for r in g.rows])
-                          for j in range(self.ncols)]
-        xs = [f.combine(v, self._cols, m * n) for v in u.basis]
-        return Subspace(f, n, [x[k * n:(k + 1) * n] for x in xs for k in range(m)])
+            vecs = [g.apply(v) for g in self.gens for v in u.basis]
+        else:
+            if self._cols is None:  # B v = sum_j v[j] col_j, col_j column j of all B stacked
+                self._cols = [f.pack([r[j] for g in self.gens for r in g.rows])
+                              for j in range(self.ncols)]
+            xs = [f.combine(v, self._cols, m * n) for v in u.basis]
+            vecs = [x[k * n:(k + 1) * n] for x in xs for k in range(m)]
+        if base is None:
+            return Subspace(f, n, vecs)
+        return Subspace(f, n, _rref_rows(f, vecs, base.basis, base.pivots)[0], _canonical=True)
 
     def preimage_of(self, w: Subspace) -> Subspace:
         """Largest T with B(T) <= w for every generator B.
@@ -180,12 +188,18 @@ class MatSpace:
             d = grown
 
 
-def run_to_fixpoint(step, start: Subspace) -> list[Subspace]:
-    """[start, step(start), step(step(start)), ...] up to the first term t
-    with step(t) == t, which is the last entry."""
-    terms = [start]
-    while True:
-        nxt = step(terms[-1])
-        if nxt == terms[-1]:
-            return terms
-        terms.append(nxt)
+def _grow(sp: MatSpace, w: Subspace, pull=lambda w: w) -> tuple[list[Subspace], Subspace]:
+    """The terms of W_(i+1) = W_i + sp(pull(W_i)) from W_0 = w, up to the first
+    that does not grow, and pull of the last. pull is monotone, so the Y_i =
+    pull(W_i) and their RREF pivot sets grow: the rows of Y_i's RREF at pivots
+    Y_(i-1) lacks complete Y_(i-1) to Y_i, and only they are mapped."""
+    terms, old = [w], ()
+    while w.dim < w.ambient_dim:  # a full W cannot grow
+        y = pull(w)
+        new = [r for r, p in zip(y.basis, y.pivots) if p not in old]
+        w = sp.image_of(Subspace(w.field, y.ambient_dim, new, _canonical=True), w) if new else w
+        if w.dim == terms[-1].dim:
+            return terms, y
+        terms.append(w)
+        old = set(y.pivots)
+    return terms, pull(w)

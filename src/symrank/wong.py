@@ -10,43 +10,50 @@ outside im(a) gives a power overflow instance through a pseudo-inverse of a.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import DimMismatch, NotMember, NotSquare
 from .linalg import Mat, Subspace, image, kernel, pseudo_inverse
 from .po import PoInstance
-from .spaces import MatSpace, run_to_fixpoint
+from .spaces import MatSpace, _grow
 
 
-@dataclass
 class WongTrace:
-    terms: list[Subspace]      # strictly monotone, last term is the limit
+    """Strictly monotone terms, the last the limit. A first-Wong trace holds their
+    orthogonals and takes them back when read: the limit alone costs one kernel."""
+
+    def __init__(self, terms: list[Subspace], dual: bool = False):
+        self._terms, self._dual = terms, dual
+
+    @cached_property
+    def terms(self) -> list[Subspace]:
+        return [t.orthogonal() for t in self._terms] if self._dual else self._terms
 
     @property
     def limit(self) -> Subspace:
-        return self.terms[-1]
+        return self._terms[-1].orthogonal() if self._dual else self._terms[-1]
+
+
+def _second_wong(a: Mat, sp: MatSpace) -> tuple[list[Subspace], Subspace]:
+    """The second Wong terms and a^{-1} of the limit: Y_i = a^{-1}(W_i) grows, so
+    W_(i+1) = W_i + space(Y_i) maps only the rows Y_i adds (spaces._grow)."""
+    if a.nrows != sp.nrows or a.ncols != sp.ncols:
+        raise DimMismatch("anchor matrix vs space dimensions")
+    return _grow(sp, Subspace.zero(a.field, a.nrows), MatSpace.of(a).preimage_of)
 
 
 def first_wong(a: Mat, sp: MatSpace) -> WongTrace:
     """U_0 = V, U_{i+1} = space^{-1}(a(U_i)); stabilizes within n steps.
 
-    The terms decrease, so a zero term is the limit and is not mapped again."""
-    if a.nrows != sp.nrows or a.ncols != sp.ncols:
-        raise DimMismatch("anchor matrix vs space dimensions")
-    a_sp = MatSpace.of(a)
-    terms = run_to_fixpoint(lambda u: sp.preimage_of(a_sp.image_of(u)) if u.dim else u,
-                            Subspace.full(a.field, a.ncols))
-    return WongTrace(terms)
+    U_i is the orthogonal of the i-th second-Wong term of (a^T, space^T), which
+    are taken in delta form and turned back only when read."""
+    return WongTrace(_second_wong(a.transpose(), sp.transpose_space())[0], dual=True)
 
 
 def second_wong(a: Mat, sp: MatSpace) -> WongTrace:
     """W_0 = 0, W_{i+1} = space(a^{-1}(W_i)); stabilizes within n' steps."""
-    if a.nrows != sp.nrows or a.ncols != sp.ncols:
-        raise DimMismatch("anchor matrix vs space dimensions")
-    a_sp = MatSpace.of(a)
-    terms = run_to_fixpoint(lambda w: sp.image_of(a_sp.preimage_of(w)),
-                            Subspace.zero(a.field, a.nrows))
-    return WongTrace(terms)
+    return WongTrace(_second_wong(a, sp)[0])
 
 
 @dataclass
@@ -79,7 +86,7 @@ def witness_test(a: Mat, sp: MatSpace) -> WitnessReport:
         raise NotMember("anchor matrix is not in the space")
     n = a.nrows
     im_a = image(a)
-    terms = second_wong(a, sp).terms
+    terms, witness = _second_wong(a, sp)  # witness = a^{-1}(W*)
     i = next((i for i, w in enumerate(terms) if not im_a.contains(w)), None)
     if i is not None:
         a_pi = pseudo_inverse(a)
@@ -87,6 +94,5 @@ def witness_test(a: Mat, sp: MatSpace) -> WitnessReport:
         u = kernel(a.matmul(a_pi))
         return WitnessReport(exists=False, stopped_at=i, po=PoInstance(ba, u, im_a))
     cork = n - im_a.dim
-    witness = MatSpace.of(a).preimage_of(terms[-1])
     assert verify_witness(sp, witness, cork), "witness failed its own check"
     return WitnessReport(exists=True, witness=witness, c=cork)

@@ -11,7 +11,7 @@ from symrank import (Mat, MatSpace, PrimeField, RationalField, Subspace,
                      first_wong, image, kernel, pseudo_inverse, rref, second_wong)
 from symrank.fields import PACK_MIN, PACK_MIN_ROWS, ExtensionField, Field, _find_irreducible
 from symrank.linalg import _eliminate
-from symrank.spaces import run_to_fixpoint
+from symrank.wong import _second_wong
 
 FIELDS = [PrimeField(2), PrimeField(7), PrimeField(101),
           ExtensionField(2, 3, _find_irreducible(2, 3)),
@@ -20,6 +20,18 @@ FIELD_IDS = ["gf2", "gf7", "gf101", "gf2^3", "gf3^2", "q"]
 WONG_FIELDS = [FIELDS[FIELD_IDS.index(name)] for name in ("gf7", "gf2^3", "gf3^2", "q")]
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None, derandomize=True)
+
+
+def run_to_fixpoint(step, start):
+    """[start, step(start), step(step(start)), ...] up to the first term t
+    with step(t) == t, which is the last entry: the Wong sequences mapped
+    step by step, the reference for their delta forms."""
+    terms = [start]
+    while True:
+        nxt = step(terms[-1])
+        if nxt == terms[-1]:
+            return terms
+        terms.append(nxt)
 
 
 def scalars(f):
@@ -174,6 +186,32 @@ def test_first_wong_matches_every_step_mapped(data):
     terms = first_wong(a, sp).terms
     assert terms == reference
     assert not to_zero or terms[-1].dim == 0
+
+
+@PROPERTY
+@given(st.data())
+def test_second_wong_matches_every_step_mapped(data):
+    # the reference maps the whole preimage a^-1(W_i) at every step.  to_full
+    # puts I in the space and makes a nilpotent: a^-1(W*) lies in W*, and an x
+    # outside W* would keep a^k x outside, up to a^n x = 0, so W* = F^n
+    f = data.draw(st.sampled_from(FIELDS))
+    to_full = data.draw(st.booleans())
+    nrows = data.draw(st.integers(1, 4))
+    ncols = nrows if to_full else data.draw(st.integers(1, 4))
+    gens = data.draw(st.lists(matrices(f, nrows, ncols), max_size=3))
+    a = data.draw(matrices(f, nrows, ncols))
+    if to_full:
+        gens.append(Mat.identity(f, nrows))
+        a = Mat(f, [[e if j > i else f.zero for j, e in enumerate(r)]
+                    for i, r in enumerate(a.rows)])
+    sp = MatSpace.from_spanning(gens, f, nrows, ncols)
+    a_sp = MatSpace.of(a)
+    reference = run_to_fixpoint(lambda w: sp.image_of(a_sp.preimage_of(w)),
+                                Subspace.zero(f, nrows))
+    terms, pulled = _second_wong(a, sp)
+    assert terms == reference == second_wong(a, sp).terms
+    assert pulled == a_sp.preimage_of(reference[-1])
+    assert not to_full or terms[-1].dim == nrows
 
 
 @PROPERTY

@@ -1,5 +1,6 @@
 """Triangularizable SDIT, the nilpotency test, the rational pipeline."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,6 +17,8 @@ from symrank.oracles import sk3
 from symrank.sdit import TriOutcome, _int_det, check_outcome, integer_nonsingular
 from symrank.wong import first_wong
 from conftest import GF5, GF7, rand_nonsingular, upper_triangular
+
+GF101 = PrimeField(101)
 
 
 def combo(sp, coeffs):
@@ -184,6 +187,68 @@ def test_tri_algo_stops_at_a_nonsingular_first_generator(monkeypatch):
                               upper_triangular(rng, GF7, 3), upper_triangular(rng, GF7, 3)])
     out = tri_algo(sp)
     assert out.kind == "nonsingular" and len(calls) == 1
+
+
+def _triangular_spaces(seed, count):
+    """Seeded GF(101) spaces of 2-4 upper triangular generators, n = 6-10, with
+    each diagonal entry zero 30% of the time, conjugated by random nonsingular
+    matrices: most recurse, some several levels deep."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(6, 10)
+        gens = [Mat.from_ints(GF101, [[0 if i > j or i == j and rng.random() < 0.3
+                                       else rng.randrange(101) for j in range(n)]
+                                      for i in range(n)])
+                for _ in range(rng.randint(2, 4))]
+        q, p = rand_nonsingular(rng, GF101, n), rand_nonsingular(rng, GF101, n)
+        yield MatSpace(GF101, n, n, [q.matmul(b).matmul(p) for b in gens])
+
+
+def _levels(monkeypatch):
+    """Record the arguments of every level of the recursion."""
+    levels, tri = [], sdit._tri
+
+    def recorded(mats, n, field, skip=None):
+        levels.append((mats, n, field, skip))
+        return tri(mats, n, field, skip)
+    monkeypatch.setattr(sdit, "_tri", recorded)
+    return levels
+
+
+def test_generator_recursed_on_has_zero_limit_below(monkeypatch):
+    # the lemma behind _tri's skip: the generator whose first-Wong limit a level
+    # recursed on has limit 0 on the induced space, computed here, not skipped
+    levels = _levels(monkeypatch)
+    checked = 0
+    for sp in itertools.chain(_small_spaces(6, 400), _triangular_spaces(8, 60)):
+        levels.clear()
+        tri_algo(sp)
+        for mats, n, field, skip in levels:
+            assert (skip is None) == (n == sp.nrows)
+            if skip is not None:
+                assert first_wong(mats[skip], MatSpace(field, n, n, mats)).limit.dim == 0
+                checked += 1
+    assert checked >= 100
+
+
+def test_tri_algo_skips_the_generator_recursed_on(monkeypatch):
+    # four levels, n = 4, 3, 2, 1, recursing on B_1, B_2, B_3 in turn; each level
+    # below the top skips the one above's generator: 5 first-Wong calls, not 7
+    levels = _levels(monkeypatch)
+    calls = []
+
+    def counted(a, sp):
+        calls.append((sp.nrows, next(k for k, g in enumerate(sp.gens) if g is a)))
+        return first_wong(a, sp)
+    monkeypatch.setattr(sdit, "first_wong", counted)
+    sp = MatSpace(GF5, 4, 4, [Mat.from_ints(GF5, rows) for rows in (
+        [[4, 2, 1, 0], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1]],
+        [[0, 3, 0, 0], [0, 0, 1, 2], [0, 0, 1, 4], [0, 0, 0, 1]],
+        [[0, 4, 2, 2], [0, 2, 0, 1], [0, 0, 0, 2], [0, 0, 0, 0]])])
+    out = tri_algo(sp)
+    assert out.kind == "nonsingular" and check_outcome(sp, out)
+    assert [(n, skip) for _, n, _, skip in levels] == [(4, None), (3, 0), (2, 1), (1, 2)]
+    assert calls == [(4, 0), (3, 1), (2, 0), (2, 2), (1, 0)]
 
 
 def test_tri_test_upper_triangular():
