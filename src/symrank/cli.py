@@ -121,6 +121,8 @@ def _coeffs_json(field, coeffs):
 def _generator(sp: MatSpace, i) -> Mat:
     """The basis matrix at index i of the loaded space."""
     i = _json_int(i)
+    if sp.dim == 0:
+        raise ValueError("the instance has no generators")
     if not 0 <= i < sp.dim:
         raise ValueError(f"generator index {i} is outside 0..{sp.dim - 1}")
     return sp.gens[i]

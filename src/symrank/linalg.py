@@ -65,21 +65,13 @@ class Mat:
         return Mat(self.field, [[self.rows[i][j] for i in range(self.nrows)]
                                 for j in range(self.ncols)], self.nrows)
 
-    def add(self, other: "Mat") -> "Mat":
+    def axpy(self, c, other: "Mat") -> "Mat":
+        """self + c * other, one row update per row: the one matrix combination."""
         self._check(other)
         f = self.field
-        return Mat(f, [[f.add(a, b) for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.rows, other.rows)])
-
-    def sub(self, other: "Mat") -> "Mat":
-        self._check(other)
-        f = self.field
-        return Mat(f, [[f.sub(a, b) for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.rows, other.rows)])
-
-    def scale(self, c) -> "Mat":
-        f = self.field
-        return Mat(f, [[f.mul(c, e) for e in r] for r in self.rows])
+        minus_c = f.neg(c)
+        return Mat(f, [f.axpy_row(minus_c, x, y) for x, y in zip(other.rows, self.rows)],
+                   self.ncols)
 
     def matmul(self, other: "Mat") -> "Mat":
         self.field.check(other.field)

@@ -146,7 +146,7 @@ def yz_lift_shifted(sp: MatSpace, a: Mat) -> MatSpace:
     f = sp.field
     n = sp.nrows
     z = Mat.zeros(f, n, n)
-    gens = [_block2(f, a, b.add(a), z, z) for b in sp.gens]
+    gens = [_block2(f, a, b.axpy(f.one, a), z, z) for b in sp.gens]
     gens.append(_block2(f, z, z, a, a))
     return MatSpace.from_spanning(gens)
 

@@ -41,7 +41,12 @@ def _tri(mats: list[Mat], n: int, field, skip: Optional[int] = None) -> TriOutco
     B(U*) = B_j(U*), and U* lies in every term, so B_j's sequence here, pulled
     back, is U_(i+1) = B^-1(B_j(U_i) + B(U*)) = B^-1(B_j(U_i)): the sequence
     above, whose limit U* is 0 here. A zero limit is never a witness nor the
-    one recursed on, so it is not computed."""
+    one recursed on, so it is not computed.
+
+    A nonsingular E on the quotient lifts to lam B_j + E for one of n + 1 values
+    of lam: det(lam B_j + E) is det on U* times det on the quotient, the first
+    with leading coefficient det(B_j|U*) != 0 and the second nonzero at lam = 0,
+    so it is a nonzero polynomial of degree <= n."""
     m = len(mats)
     ck = kernel(Mat(field, [r for b in mats for r in b.rows]))  # common kernel
     if ck.dim > 0:
@@ -82,15 +87,12 @@ def _tri(mats: list[Mat], n: int, field, skip: Optional[int] = None) -> TriOutco
             return TriOutcome("fail")
 
     e = span.element(sub.coefficients)
-    lam_set = distinct_elements(field, n + 1)
-    for lam in lam_set:
-        for mu in lam_set:
-            cand = mats[j].scale(lam).add(e.scale(mu))
-            if cand.rank() == n:
-                coeffs = [field.mul(mu, c) for c in sub.coefficients]
-                coeffs[j] = field.add(coeffs[j], lam)
-                return TriOutcome("nonsingular", coefficients=coeffs)
-    raise AssertionError("no nonsingular combination of B_j and E found")
+    for lam in distinct_elements(field, n + 1):
+        if e.axpy(lam, mats[j]).rank() == n:
+            coeffs = list(sub.coefficients)
+            coeffs[j] = field.add(coeffs[j], lam)
+            return TriOutcome("nonsingular", coefficients=coeffs)
+    raise AssertionError("no nonsingular lam B_j + E among n + 1 values of lam")
 
 
 def check_outcome(sp: MatSpace, out: TriOutcome, c: int = 1) -> bool:

@@ -67,14 +67,15 @@ def reduce_coefficients(sp: MatSpace, coeffs: list) -> list:
     """
     f = sp.field
     n = max(sp.nrows, sp.ncols)
-    r = sp.element(coeffs).rank()
+    a = sp.element(coeffs)
+    r = a.rank()
     out = list(coeffs)
-    for i in range(len(out)):
-        for kappa in range(n + 1):
-            trial = list(out)
-            trial[i] = f.from_int(kappa)
-            if sp.element(trial).rank() >= r:
-                out = trial
+    for i, b in enumerate(sp.gens):
+        base = a.axpy(f.neg(out[i]), b)  # the running element without B_i
+        for kappa in map(f.from_int, range(n + 1)):
+            trial = base.axpy(kappa, b)
+            if trial.rank() >= r:
+                out[i], a = kappa, trial
                 break
     return out
 
@@ -88,7 +89,7 @@ def greedy_start(sp: MatSpace, limit: int) -> tuple:
     for i, g in enumerate(sp.gens):
         if r == limit:
             break
-        cand = a.add(g)
+        cand = a.axpy(sp.field.one, g)
         cand_rank = cand.rank()
         if cand_rank > r:
             a, r, coeffs[i] = cand, cand_rank, sp.field.one
@@ -121,7 +122,7 @@ def smr(sp: MatSpace) -> SmrResult:
 
         b = work.element(answer.coefficients)
         for lam in lambdas:
-            cand = a.add(b.scale(lam))
+            cand = a.axpy(lam, b)
             cand_rank = cand.rank()
             if cand_rank > r:
                 break

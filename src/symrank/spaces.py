@@ -165,11 +165,9 @@ class MatSpace:
         """Span of [B_i, B_j] over basis pairs (bilinearity suffices)."""
         if self.nrows != self.ncols:
             raise NotSquare("commutators of a non-square space")
-        comms = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                a, b = self.gens[i], self.gens[j]
-                comms.append(a.matmul(b).sub(b.matmul(a)))
+        minus_one = self.field.neg(self.field.one)
+        comms = [a.matmul(b).axpy(minus_one, b.matmul(a))
+                 for i, a in enumerate(self.gens) for b in self.gens[i + 1:]]
         return MatSpace.from_spanning(comms, self.field, self.nrows, self.ncols)
 
     def generated_algebra(self) -> "MatSpace":

@@ -208,9 +208,8 @@ def test_criterion_08_triangularizability_test():
         base = is_triangularizable_with_nonsingular(sp, tris[0])
         lam = GF7.from_int(rng.randint(1, 6))
         mu = GF7.from_int(rng.randint(0, 6))
-        mixed = MatSpace.from_spanning(
-            [tris[0].scale(lam).add(tris[1].scale(mu)), tris[1]], GF7, n, n)
-        s = tris[0].scale(lam).add(tris[1].scale(mu))
+        s = Mat.zeros(GF7, n, n).axpy(lam, tris[0]).axpy(mu, tris[1])
+        mixed = MatSpace.from_spanning([s, tris[1]], GF7, n, n)
         if s.rank() == n:
             ok = ok and is_triangularizable_with_nonsingular(mixed, s) == base
         q = rand_nonsingular(rng, GF7, n)

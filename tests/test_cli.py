@@ -462,6 +462,19 @@ def test_generator_index_out_of_range(tmp_path, capsys, argv):
     assert "generator index" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["wong", "--anchor", "0", "--kind", "first"],
+    ["tri-test", "--pivot", "0"],
+], ids=["wong", "tri-test"])
+def test_generator_of_an_empty_instance(tmp_path, capsys, argv):
+    # an all-zero basis spans 0: there is no index to be out of range of
+    inst = write_json(tmp_path / "zero.json", {
+        "field": {"kind": "prime", "p": 5}, "n": 2, "n_cols": 2,
+        "basis": [[[0, 0], [0, 0]]]})
+    assert main(argv[:1] + [inst] + argv[1:]) == 1
+    assert "error: the instance has no generators" in capsys.readouterr().err
+
+
 def test_parser_keeps_no_state_between_calls(tmp_path, upper_instance):
     # one parser serves every call: a flag of one call must not reach the next
     cert = str(tmp_path / "sdit.json")

@@ -129,6 +129,11 @@ def test_row_operations_match_generic(f, data):
     assert f.axpy_row(c, x, y) == Field.axpy_row(f, c, x, y)
     assert f.scale_row(c, x) == Field.scale_row(f, c, x)
     assert f.dot(x, y) == Field.dot(f, x, y)
+    # Mat.axpy, a row update per row, against a_ij + c b_ij entry by entry
+    a, b = Mat(f, [x, y], n), Mat(f, [y, x], n)
+    for k in (f.zero, f.one, f.neg(f.one), c):
+        assert a.axpy(k, b).rows == [[f.add(p, f.mul(k, q)) for p, q in zip(r, s)]
+                                     for r, s in zip(a.rows, b.rows)]
 
 
 def _reference_eliminate(f, rows, basis=(), pivots=()):

@@ -24,7 +24,7 @@ def test_shape_mismatch_raises():
     with pytest.raises(DimMismatch):
         a.matmul(Mat.zeros(GF5, 2, 3))
     with pytest.raises(DimMismatch):
-        a.add(Mat.zeros(GF5, 3, 2))
+        a.axpy(GF5.one, Mat.zeros(GF5, 3, 2))
     with pytest.raises(NotSquare):
         a.det()
 

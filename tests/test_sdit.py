@@ -86,9 +86,26 @@ def test_tri_algo_rejects_empty_space():
         tri_algo(MatSpace(GF5, 2, 2, []))
 
 
-def _eager_tri(mats, n, field):
+def _single_lam(field, n, b, e):
+    """(lam, 1) for the first of n + 1 values of lam with lam B_j + E nonsingular:
+    the step _tri takes."""
+    return next((lam, field.one) for lam in distinct_elements(field, n + 1)
+                if e.axpy(lam, b).rank() == n)
+
+
+def _lam_mu_pair(field, n, b, e):
+    """The first pair (lam, mu), lam the outer loop, with lam B_j + mu E
+    nonsingular: the search of up to (n + 1)^2 pairs _tri made before."""
+    values = distinct_elements(field, n + 1)
+    return next((lam, mu) for lam in values for mu in values
+                if Mat.zeros(field, n, n).axpy(lam, b).axpy(mu, e).rank() == n)
+
+
+def _eager_tri(mats, n, field, search=_single_lam, mus=None):
     """The recursion with every first-Wong limit of a level taken before any is
-    looked at: the first witness among them, else the first nonzero one."""
+    looked at: the first witness among them, else the first nonzero one. The
+    last step lifts E as lam B_j + mu E, (lam, mu) = search(field, n, B_j, E);
+    the mu of each level with E != 0 is appended to mus when given."""
     m = len(mats)
     ck = kernel(Mat(field, [r for b in mats for r in b.rows]))
     if ck.dim > 0:
@@ -109,20 +126,20 @@ def _eager_tri(mats, n, field):
         q = span.image_of(u_star).orthogonal().basis_matrix()
         unit = Mat.identity(field, n).rows
         r = Mat(field, [unit[c] for c in perp.pivots]).transpose()
-        sub = _eager_tri([q.matmul(b).matmul(r) for b in mats], n - u_star.dim, field)
+        sub = _eager_tri([q.matmul(b).matmul(r) for b in mats], n - u_star.dim, field,
+                         search, mus)
         if sub.kind == "witness":
             return TriOutcome("witness", witness=MatSpace.of(
                 perp.basis_matrix()).preimage_of(sub.witness))
         if sub.kind == "fail":
             return TriOutcome("fail")
     e = span.element(sub.coefficients)
-    for lam in distinct_elements(field, n + 1):
-        for mu in distinct_elements(field, n + 1):
-            if mats[j].scale(lam).add(e.scale(mu)).rank() == n:
-                coeffs = [field.mul(mu, c) for c in sub.coefficients]
-                coeffs[j] = field.add(coeffs[j], lam)
-                return TriOutcome("nonsingular", coefficients=coeffs)
-    raise AssertionError("no nonsingular combination")
+    lam, mu = search(field, n, mats[j], e)
+    if mus is not None and not e.is_zero():
+        mus.append(mu)
+    coeffs = [field.mul(mu, c) for c in sub.coefficients]
+    coeffs[j] = field.add(coeffs[j], lam)
+    return TriOutcome("nonsingular", coefficients=coeffs)
 
 
 def _small_spaces(seed, count):
@@ -157,6 +174,38 @@ def test_tri_algo_matches_eager_reference():
         assert out == _eager_tri(sp.gens, sp.nrows, sp.field)
         kinds.add(out.kind)
     assert kinds == {"nonsingular", "witness", "fail"}
+
+
+def test_single_lam_step_matches_pair_search():
+    # the same kinds and witnesses as the (lam, mu) pair search, and other
+    # coefficients only where a level with E != 0 took mu != 1
+    changed = 0
+    for sp in itertools.chain(_small_spaces(6, 1600), _triangular_spaces(8, 60)):
+        out, mus = tri_algo(sp), []
+        ref = _eager_tri(sp.gens, sp.nrows, sp.field, _lam_mu_pair, mus)
+        assert (out.kind, out.witness) == (ref.kind, ref.witness)
+        if out.kind == "nonsingular":
+            assert check_outcome(sp, out)
+            if out.coefficients != ref.coefficients:
+                assert any(mu != 1 for mu in mus)
+                changed += 1
+    assert changed == 16
+
+
+def test_single_lam_step_changes_coefficients():
+    # instance 909 of _small_spaces(6, ...), over GF(7): the level recurses on
+    # B_0, and B_0, E = B_1 and B_0 + B_1 are singular, so the pair search took
+    # (lam, mu) = (1, 2) and the single lam loop takes lam = 2. (A B_j that is
+    # nonsingular alone never differs: its limit is F^n, so E = 0.)
+    sp = MatSpace(GF7, 3, 3, [Mat.from_ints(GF7, rows) for rows in (
+        [[1, 0, 6], [0, 6, 0], [0, 1, 0]], [[1, 0, 0], [0, 0, 6], [2, 0, 0]])])
+    assert [sp.element(c).rank() for c in ([1, 0], [0, 1], [1, 1])] == [2, 2, 2]
+    mus = []
+    ref = _eager_tri(sp.gens, 3, GF7, _lam_mu_pair, mus)
+    assert ref.coefficients == [1, 2] and mus == [2]
+    out = tri_algo(sp)
+    assert out.kind == "nonsingular" and out.coefficients == [2, 1]
+    assert check_outcome(sp, out) and check_outcome(sp, ref)
 
 
 def test_tri_algo_witness_from_a_later_limit():

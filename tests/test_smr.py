@@ -183,3 +183,42 @@ def test_smr_augments_twisted_crown(f):
         assert res.rank == n
         assert res.ranks_visited == list(range(k, n + 1))
         assert check_result(sp, res)
+
+
+def _reduce_by_expansion(sp, coeffs):
+    """reduce_coefficients with every trial expanded from all generators."""
+    f = sp.field
+    n = max(sp.nrows, sp.ncols)
+    r = sp.element(coeffs).rank()
+    out = list(coeffs)
+    for i in range(len(out)):
+        for kappa in range(n + 1):
+            trial = list(out)
+            trial[i] = f.from_int(kappa)
+            if sp.element(trial).rank() >= r:
+                out = trial
+                break
+    return out
+
+
+def test_reduce_coefficients_matches_expansion():
+    # the running element plus kappa B_i, against each trial expanded afresh
+    q = RationalField()
+    rng = random.Random(83)
+
+    def rank_one_q(nrows, ncols):
+        u, v = [0] * nrows, [0] * ncols
+        while not any(u) or not any(v):
+            u = [rng.randint(-2, 2) for _ in range(nrows)]
+            v = [rng.randint(-2, 2) for _ in range(ncols)]
+        return Mat.from_ints(q, [[a * b for b in v] for a in u])
+    spaces = []
+    for _ in range(12):
+        nrows, ncols = rng.randint(2, 5), rng.randint(2, 5)
+        spaces.append(MatSpace.from_spanning(
+            [rank_one_q(nrows, ncols) for _ in range(rng.randint(2, 6))], q, nrows, ncols))
+    spaces.append(crown(q, 4, (_nonsingular(rng, q, 8), _nonsingular(rng, q, 8))))
+    for sp in spaces:
+        for _ in range(3):
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(sp.dim)]
+            assert reduce_coefficients(sp, coeffs) == _reduce_by_expansion(sp, coeffs)

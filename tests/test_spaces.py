@@ -18,7 +18,7 @@ def e(field, n, i, j):
 def test_from_spanning_prunes_dependent():
     e11 = e(GF7, 2, 0, 0)
     e22 = e(GF7, 2, 1, 1)
-    sp = MatSpace.from_spanning([e11, e11.scale(GF7.from_int(2)), e22])
+    sp = MatSpace.from_spanning([e11, e11.axpy(GF7.one, e11), e22])
     assert sp.dim == 2
     assert sp.gens == [e11, e22]
     zero_sp = MatSpace.from_spanning([Mat.zeros(GF7, 2, 2)])

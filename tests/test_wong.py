@@ -139,6 +139,6 @@ def test_witness_test_po_instance_raises_rank(f):
         assert ans.found
         b = sp.element(ans.coefficients)
         r = a.rank()
-        assert any(a.add(b.scale(lam)).rank() > r for lam in distinct_elements(f, n + 1))
+        assert any(a.axpy(lam, b).rank() > r for lam in distinct_elements(f, n + 1))
         ells.append(ans.ell)
     assert max(ells) >= 2
