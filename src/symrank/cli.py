@@ -19,7 +19,7 @@ import sys
 from . import oracles, sdit
 from .smr import SmrResult, check_claim, pad_square, working_space
 from .smr import smr as run_smr
-from .errors import SymrankError
+from .errors import NotSquare, SymrankError
 from .fields import FieldSpec, _json_int, _json_typed, extension_field, make_field
 from .linalg import Mat, Subspace
 from .po import PoInstance, _power_escapes, solve_po
@@ -335,6 +335,8 @@ def verify_certificate(sp: MatSpace, cert: dict) -> bool:
         coeffs = _coefficients(wf.scalar_from_json, cert)
         return check_claim(sp, space, SmrResult(status, coeffs, rank, witness, wf.spec))
 
+    if algo in ("tri_algo", "rational_sdit") and sp.nrows != sp.ncols:
+        raise NotSquare("SDIT is defined for square spaces")
     if algo in ("tri_algo", "rational_sdit") or (algo, status) == ("po", "found"):
         # the other certificates are rebuilt, working field included
         if FieldSpec.from_json(cert["working_field"]) != sp.field.spec:

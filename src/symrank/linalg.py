@@ -124,6 +124,20 @@ class Mat:
         return Mat(f, [r[n:] for r in red])
 
 
+def raise_rank(a: Mat, b: Mat, scalars, target: int):
+    """(c, a + c b, its rank) for the first c in scalars, taken lazily, at
+    which the rank reaches target, else None.  If some a + x b reaches it, a
+    target x target minor is a nonzero polynomial in x of degree <= target,
+    so any target + 1 distinct scalars contain a c that does: the search of
+    the SMR step and of the SDIT lift, over fields of n + 1 elements."""
+    for c in scalars:
+        cand = a.axpy(c, b)
+        rank = cand.rank()
+        if rank >= target:
+            return c, cand, rank
+    return None
+
+
 def _eliminate(f: Field, rows, basis=(), pivots=(), reduced=True):
     """Add rows, in order, to an echelon; the one elimination loop of the package.
 

@@ -186,10 +186,9 @@ def blackbox_greedy(rank_oracle: Callable[[list], int], m: int, n: int,
             for lam in lambdas:
                 trial = list(coeffs)
                 trial[b_idx] = field.add(trial[b_idx], lam)
-                if rank_oracle(trial) > r:
-                    coeffs = trial
-                    r = rank_oracle(trial)
-                    improved = True
+                trial_rank = rank_oracle(trial)
+                if trial_rank > r:
+                    coeffs, r, improved = trial, trial_rank, True
                     break
             if improved:
                 break

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .errors import EmptySpace, FieldTooSmall, NotMember, NotSquare, SingularS
 from .fields import FieldSpec, _is_prime, distinct_elements, make_field
-from .linalg import Mat, Subspace, kernel
+from .linalg import Mat, Subspace, kernel, raise_rank
 from .spaces import MatSpace, _grow
 from .wong import first_wong, verify_witness
 
@@ -86,13 +86,13 @@ def _tri(mats: list[Mat], n: int, field, skip: Optional[int] = None) -> TriOutco
         if sub.kind == "fail":
             return TriOutcome("fail")
 
-    e = span.element(sub.coefficients)
-    for lam in distinct_elements(field, n + 1):
-        if e.axpy(lam, mats[j]).rank() == n:
-            coeffs = list(sub.coefficients)
-            coeffs[j] = field.add(coeffs[j], lam)
-            return TriOutcome("nonsingular", coefficients=coeffs)
-    raise AssertionError("no nonsingular lam B_j + E among n + 1 values of lam")
+    found = raise_rank(span.element(sub.coefficients), mats[j],
+                       distinct_elements(field, n + 1), n)
+    if found is None:
+        raise AssertionError("no nonsingular lam B_j + E among n + 1 values of lam")
+    coeffs = list(sub.coefficients)
+    coeffs[j] = field.add(coeffs[j], found[0])
+    return TriOutcome("nonsingular", coefficients=coeffs)
 
 
 def check_outcome(sp: MatSpace, out: TriOutcome, c: int = 1) -> bool:
@@ -189,6 +189,9 @@ def integer_nonsingular(int_mats: list[list[list[int]]], ints: list[int]) -> boo
     """Whether sum_k ints[k] * int_mats[k] has a nonzero determinant, exactly."""
     if not int_mats or len(ints) != len(int_mats):
         raise ValueError("need a generator, and exactly one coefficient per generator")
+    n = len(int_mats[0])
+    if any(len(mat) != n or any(len(row) != n for row in mat) for mat in int_mats):
+        raise ValueError("the determinant needs square generators of one size")
     return _int_det([[sum(map(operator.mul, ints, entries)) for entries in zip(*rows)]
                      for rows in zip(*int_mats)]) != 0
 
@@ -196,11 +199,11 @@ def integer_nonsingular(int_mats: list[list[list[int]]], ints: list[int]) -> boo
 def rational_sdit(int_mats: list[list[list[int]]]) -> RationalSditReport:
     """Mod-p reduction pipeline for integer generator matrices.
 
-    Takes ascending primes p > n until their product exceeds a Hadamard-style
-    bound on |det| of any combination with coefficients in {0..n}, and tries
-    them in that order; a nonsingular mod-p combination is accepted only after
-    its integer determinant is verified nonzero exactly.  primes_tried is the
-    prefix of those primes up to the one that succeeded, or all of them.
+    Tries ascending primes p > n until one succeeds or their product exceeds
+    a Hadamard-style bound on |det| of any combination with coefficients in
+    {0..n}; a nonsingular mod-p combination is accepted only after its
+    integer determinant is verified nonzero exactly.  primes_tried lists the
+    primes tried, in order.
     """
     if not int_mats:
         raise EmptySpace("no generators to combine")
@@ -209,24 +212,20 @@ def rational_sdit(int_mats: list[list[list[int]]]) -> RationalSditReport:
     b = max(1, max(abs(e) for mat in int_mats for row in mat for e in row))
     bound = (math.isqrt(n ** n) + 1) * (((n + 1) * m * b) ** n)
 
-    primes = []
-    acc = 1
+    primes, acc = [], 1
     for p in _primes_above(n):
         primes.append(p)
         acc *= p
-        if acc > bound:
-            break
-
-    for i, p in enumerate(primes):
         gf = make_field(FieldSpec("prime", p=p))
         mats = [Mat.from_ints(gf, mat) for mat in int_mats]
         # unpruned, so coefficient positions stay those of int_mats
         out = tri_algo(MatSpace(gf, n, mats[0].ncols, mats))
-        if out.kind != "nonsingular":
-            continue
-        ints = [c % p for c in out.coefficients]
-        if integer_nonsingular(int_mats, ints):
-            return RationalSditReport("nonsingular_combination", prime_used=p,
-                                      integer_coefficients=ints,
-                                      primes_tried=primes[:i + 1], bound_used=bound)
+        if out.kind == "nonsingular":
+            ints = [c % p for c in out.coefficients]
+            if integer_nonsingular(int_mats, ints):
+                return RationalSditReport("nonsingular_combination", prime_used=p,
+                                          integer_coefficients=ints,
+                                          primes_tried=primes, bound_used=bound)
+        if acc > bound:
+            break
     return RationalSditReport("inconclusive", primes_tried=primes, bound_used=bound)

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import EmptySpace
 from .fields import Field, FieldSpec, distinct_elements, ensure_size
-from .linalg import Mat, Subspace
+from .linalg import Mat, Subspace, raise_rank
 from .po import solve_po
 from .spaces import MatSpace
 from .wong import verify_witness, witness_test
@@ -58,26 +58,17 @@ def embed_space(sp: MatSpace, size: int) -> MatSpace:
     return MatSpace(big, sp.nrows, sp.ncols, gens)
 
 
-def reduce_coefficients(sp: MatSpace, coeffs: list) -> list:
-    """Replace each coefficient by the first value in {0,...,n} keeping the rank.
-
-    Position by position in order; existence of a rank-preserving value is
-    guaranteed because the rank drop along one coefficient is controlled by
-    a nonzero polynomial with at most n roots.
-    """
+def reduce_coefficients(sp: MatSpace, coeffs: list, a: Mat, r: int) -> tuple:
+    """(coefficients, element, rank): each coefficient in order becomes the
+    first value in {0,...,n} at which the running element a, of rank r, keeps
+    rank r or more (raise_rank's n + 1 scalars contain one)."""
     f = sp.field
     n = max(sp.nrows, sp.ncols)
-    a = sp.element(coeffs)
-    r = a.rank()
-    out = list(coeffs)
+    out, rank = list(coeffs), r
     for i, b in enumerate(sp.gens):
         base = a.axpy(f.neg(out[i]), b)  # the running element without B_i
-        for kappa in map(f.from_int, range(n + 1)):
-            trial = base.axpy(kappa, b)
-            if trial.rank() >= r:
-                out[i], a = kappa, trial
-                break
-    return out
+        out[i], a, rank = raise_rank(base, b, map(f.from_int, range(n + 1)), r)
+    return out, a, rank
 
 
 def greedy_start(sp: MatSpace, limit: int) -> tuple:
@@ -89,10 +80,9 @@ def greedy_start(sp: MatSpace, limit: int) -> tuple:
     for i, g in enumerate(sp.gens):
         if r == limit:
             break
-        cand = a.axpy(sp.field.one, g)
-        cand_rank = cand.rank()
-        if cand_rank > r:
-            a, r, coeffs[i] = cand, cand_rank, sp.field.one
+        found = raise_rank(a, g, [sp.field.one], r + 1)
+        if found:
+            coeffs[i], a, r = found
     return coeffs, a, r
 
 
@@ -108,7 +98,8 @@ def smr(sp: MatSpace) -> SmrResult:
 
     coeffs, a, r = greedy_start(work, min(sp.nrows, sp.ncols))
     ranks = [r]
-    lambdas = distinct_elements(f, n + 1)
+    # lam = 0 leaves the rank at r, so the n nonzero values of n + 1 suffice
+    lambdas = [lam for lam in distinct_elements(f, n + 1) if f.nonzero(lam)]
 
     for _ in range(n + 1):
         report = witness_test(a, work)
@@ -117,23 +108,14 @@ def smr(sp: MatSpace) -> SmrResult:
                              report.witness, f.spec, ranks)
 
         answer = solve_po(report.po)
-        if not answer.found:
+        found = answer.found and raise_rank(a, work.element(answer.coefficients),
+                                            lambdas, r + 1)
+        if not found:
             return SmrResult("failed_po", coeffs, r, None, f.spec, ranks)
-
-        b = work.element(answer.coefficients)
-        for lam in lambdas:
-            cand = a.axpy(lam, b)
-            cand_rank = cand.rank()
-            if cand_rank > r:
-                break
-        else:
-            return SmrResult("failed_po", coeffs, r, None, f.spec, ranks)
-        a, r = cand, cand_rank
+        lam, a, r = found
         coeffs = [f.add(c, f.mul(lam, bc)) for c, bc in zip(coeffs, answer.coefficients)]
         if rational:
-            coeffs = reduce_coefficients(work, coeffs)
-            a = work.element(coeffs)
-            r = a.rank()
+            coeffs, a, r = reduce_coefficients(work, coeffs, a, r)
         ranks.append(r)
     raise AssertionError("rank increased more than n times")  # unreachable
 

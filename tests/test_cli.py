@@ -448,6 +448,41 @@ def test_verify_checks_oracle_counts_before_enumerating(tmp_path, capsys, monkey
     assert main(["verify", rational, "--cert", cert]) == 1
 
 
+Q = {"kind": "rational"}
+NON_SQUARE = {
+    "2x3": {"field": Q, "n": 2, "n_cols": 3,
+            "basis": [[[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 0]]]},
+    "3x2": {"field": Q, "n": 3, "n_cols": 2,
+            "basis": [[[1, 0], [0, 1], [0, 0]], [[0, 1], [0, 0], [0, 0]]]},
+}
+
+
+@pytest.mark.parametrize("shape, cert", [
+    # B_0 has rank 2 = nrows, but no 2 x 3 matrix is nonsingular
+    ("2x3", {"algorithm": "tri_algo", "status": "nonsingular", "working_field": Q,
+             "coefficients": ["1/1", "0/1"]}),
+    # F^3 maps into F^2, so it would witness singularity of any 2 x 3 space
+    ("2x3", {"algorithm": "tri_algo", "status": "witness", "working_field": Q, "c": 1,
+             "witness_basis": [["1/1", "0/1", "0/1"], ["0/1", "1/1", "0/1"],
+                               ["0/1", "0/1", "1/1"]]}),
+    # the leading 2 x 2 block of B_0 is I
+    ("2x3", {"algorithm": "rational_sdit", "status": "nonsingular_combination",
+             "working_field": Q, "prime_used": 5, "coefficients": [1, 0]}),
+    ("2x3", {"algorithm": "rational_sdit", "status": "inconclusive", "working_field": Q}),
+    ("3x2", {"algorithm": "rational_sdit", "status": "nonsingular_combination",
+             "working_field": Q, "prime_used": 5, "coefficients": [1, 0]}),
+], ids=["tri-nonsingular", "tri-witness", "modp-nonsingular", "modp-inconclusive",
+        "modp-nonsingular-3x2"])
+def test_verify_refuses_sdit_on_non_square(tmp_path, capsys, shape, cert):
+    # sdit-tri refuses these instances, so verify must not accept a claim on them
+    inst = write_json(tmp_path / "inst.json", NON_SQUARE[shape])
+    assert main(["sdit-tri", inst, "-o", str(tmp_path / "out.json")]) == 1
+    assert main(["verify", inst, "--cert", write_json(tmp_path / "cert.json", cert)]) == 1
+    out, err = capsys.readouterr()
+    assert "PASS" not in out
+    assert err.count("error: SDIT is defined for square spaces") == 2
+
+
 @pytest.mark.parametrize("argv", [
     ["wong", "--anchor", "5", "--kind", "first"],
     ["wong", "--anchor", "-1", "--kind", "first"],

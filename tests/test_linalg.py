@@ -6,6 +6,7 @@ import pytest
 
 from symrank import (Mat, PrimeField, RationalField, Subspace, image, kernel,
                      pseudo_inverse, rref)
+from symrank.linalg import raise_rank
 from symrank.errors import DimMismatch, NotSquare
 from conftest import GF2, GF5, GF7, rand_matrix
 
@@ -27,6 +28,19 @@ def test_shape_mismatch_raises():
         a.axpy(GF5.one, Mat.zeros(GF5, 3, 2))
     with pytest.raises(NotSquare):
         a.det()
+
+
+def test_raise_rank():
+    # det(a + x b) = (1 + x)^2 - 1 = x (x + 2): singular at 0 and 5 over GF(7)
+    a = Mat.from_ints(GF7, [[1, 1], [1, 1]])
+    b = Mat.identity(GF7, 2)
+    assert raise_rank(a, b, [0, 5, 3, 1], 2) == (3, a.axpy(3, b), 2)
+    assert raise_rank(a, b, [0, 5, 3], 1) == (0, a, 1)
+    assert raise_rank(a, b, [0, 5], 2) is None
+    assert raise_rank(a, b, range(7), 3) is None
+    scalars = iter([5, 0, 4, 6, 1])
+    assert raise_rank(a, b, scalars, 2)[0] == 4
+    assert list(scalars) == [6, 1]  # consumed up to the first that reaches 2
 
 
 def test_rref():

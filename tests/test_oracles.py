@@ -113,9 +113,16 @@ def test_blackbox_greedy_diag():
     sp = MatSpace.from_spanning([
         Mat.from_ints(GF5, [[1, 0], [0, 0]]),
         Mat.from_ints(GF5, [[0, 0], [0, 1]])])
-    r, coeffs = blackbox_greedy(lambda c: sp.element(c).rank(), 2, 2, GF5)
+    calls = []
+
+    def oracle(c):
+        calls.append(c)
+        return sp.element(c).rank()
+    r, coeffs = blackbox_greedy(oracle, 2, 2, GF5)
     assert r == 2
     assert sp.element(coeffs).rank() == 2
+    # the start, then one call per trial: 2 and 3 times B_0 stay at rank 1, B_1 raises it
+    assert calls == [[1, 0], [2, 0], [3, 0], [1, 1]]
 
 
 def test_blackbox_greedy_reaches_brute_on_rank_one():

@@ -365,7 +365,10 @@ def test_rational_sdit_inconclusive_on_common_kernel():
     mats = [[[1, 0], [0, 0]], [[2, 0], [1, 0]]]
     rep = rational_sdit(mats)
     assert rep.outcome == "inconclusive"
-    assert rep.primes_tried
+    # every prime above n = 2 until their product passes the bound
+    # (isqrt(2^2) + 1) ((2 + 1) m b)^2 = 3 * 12^2 = 432, m = b = 2: 3 * 5 * 7 * 11
+    assert rep.bound_used == 432
+    assert rep.primes_tried == [3, 5, 7, 11]
 
 
 def test_check_outcome():
@@ -387,3 +390,8 @@ def test_integer_nonsingular():
             integer_nonsingular(mats, ints)
     with pytest.raises(ValueError):
         integer_nonsingular([], [])
+    # the determinant of a non-square or ragged combination is undefined
+    for bad in ([[[1, 0, 0], [0, 1, 0]]], [[[1, 0], [0, 1], [0, 0]]],
+                [[[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]):
+        with pytest.raises(ValueError):
+            integer_nonsingular(bad, [1] * len(bad))

@@ -104,10 +104,13 @@ def test_reduce_coefficients_rational():
     sp = MatSpace.from_spanning([
         Mat.from_ints(q, [[1, 0], [0, 0]]),
         Mat.from_ints(q, [[0, 0], [0, 1]])])
-    coeffs = reduce_coefficients(sp, [Fraction(7, 3), Fraction(-5, 2)])
+    start = [Fraction(7, 3), Fraction(-5, 2)]
+    a = sp.element(start)
+    coeffs, b, r = reduce_coefficients(sp, start, a, a.rank())
     n = 2
     assert all(0 <= c <= n and c.denominator == 1 for c in coeffs)
     assert sp.element(coeffs).rank() == 2
+    assert b == sp.element(coeffs) and r == b.rank()
 
 
 def test_smr_over_rationals():
@@ -221,4 +224,7 @@ def test_reduce_coefficients_matches_expansion():
     for sp in spaces:
         for _ in range(3):
             coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(sp.dim)]
-            assert reduce_coefficients(sp, coeffs) == _reduce_by_expansion(sp, coeffs)
+            a = sp.element(coeffs)
+            out, b, r = reduce_coefficients(sp, coeffs, a, a.rank())
+            assert out == _reduce_by_expansion(sp, coeffs)
+            assert b == sp.element(out) and r == b.rank()
