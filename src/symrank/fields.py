@@ -226,7 +226,9 @@ class Field:
     # a field with cheaper arithmetic than its scalar methods overrides them
 
     def axpy_row(self, c, x, y) -> list:
-        """y - c*x, entrywise."""
+        """y - c*x, entrywise; c = +-1 costs one sub or add per entry."""
+        if c == self.one or c == self.neg(self.one):
+            return list(map(self.sub if c == self.one else self.add, y, x))
         sub, mul = self.sub, self.mul
         return [sub(b, mul(c, a)) for a, b in zip(x, y)]
 

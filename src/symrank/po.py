@@ -121,11 +121,11 @@ def solve_po(inst: PoInstance) -> PoAnswer:
     for i in range(ell, 0, -1):
         h = helpers[i - 1]
         for g, c in zip(h.gens, h.coords):
-            if not target.contains(MatSpace.of(g).image_of(prefixes[i - 1])):
+            if not target.contains((g_sp := MatSpace.of(g)).image_of(prefixes[i - 1])):
                 break
         else:
             return PoAnswer(found=False)
-        target = MatSpace.of(g).preimage_of(target)
+        target = g_sp.preimage_of(target)  # the same space: its factors are found once
         coords = [f.add(x, y) for x, y in zip(coords, c)]
     x = d.element(coords)
     assert _power_escapes(x, ell, u, u_prime), "power overflow check failed"

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import EmptySpace
 from .fields import Field, FieldSpec, distinct_elements, ensure_size
-from .linalg import Mat, Subspace, raise_rank
+from .linalg import Mat, Subspace, _eliminate, raise_rank
 from .po import solve_po
 from .spaces import MatSpace
 from .wong import verify_witness, witness_test
@@ -74,15 +74,27 @@ def reduce_coefficients(sp: MatSpace, coeffs: list, a: Mat, r: int) -> tuple:
 def greedy_start(sp: MatSpace, limit: int) -> tuple:
     """(coefficients, element, rank) of the sum of the generators, in basis
     order, that each raise the rank when added, stopping at rank `limit`.
-    Coefficient 1 suffices: A + xy^T gains rank iff x, y are not in im A, row A."""
-    coeffs = [sp.field.zero] * sp.dim
-    a, r = Mat.zeros(sp.field, sp.nrows, sp.ncols), 0
-    for i, g in enumerate(sp.gens):
+    Coefficient 1 suffices: A + xy^T gains rank iff x, y are not in im A, row A,
+    kept as echelons; any other generator goes through raise_rank, rebuilding them."""
+    f = sp.field
+    coeffs = [f.zero] * sp.dim
+    a, r = Mat.zeros(f, sp.nrows, sp.ncols), 0
+    cols = rows = ((), ())  # echelons (basis, pivots) of im A and row A
+    for i, (g, xy) in enumerate(zip(sp.gens, sp.factors)):
         if r == limit:
             break
-        found = raise_rank(a, g, [sp.field.one], r + 1)
-        if found:
-            coeffs[i], a, r = found
+        if xy is None:
+            found = raise_rank(a, g, [f.one], r + 1)
+            if found:
+                coeffs[i], a, r = found
+                cols, rows = (_eliminate(f, m.rows, reduced=False)[:2] for m in (a.transpose(), a))
+            continue
+        *more_cols, (x_lead,) = _eliminate(f, [xy[0]], *cols, reduced=False)
+        if x_lead is not None:  # x is not in im A
+            *more_rows, (y_lead,) = _eliminate(f, [xy[1]], *rows, reduced=False)
+            if y_lead is not None:
+                coeffs[i], a, r = f.one, a.axpy(f.one, g), r + 1
+                cols, rows = more_cols, more_rows
     return coeffs, a, r
 
 

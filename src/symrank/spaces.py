@@ -6,7 +6,7 @@ column vectors, so a space of n x n' matrices maps F^n' into F^n.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress, count, repeat
 
 from .errors import DimMismatch, IdentityMissing, NotSquare
 from .fields import Field
@@ -16,9 +16,10 @@ from .linalg import Mat, Subspace, _eliminate, _rref_rows, kernel, solve
 class MatSpace:
     """Linear span of matrices, stored as a linearly independent basis."""
 
-    __slots__ = ("field", "nrows", "ncols", "gens", "_echelon", "_cols", "_stack", "_t")
+    __slots__ = ("field", "nrows", "ncols", "gens", "_echelon", "_factors", "_split", "_cols",
+                 "_stack", "_t")
 
-    def __init__(self, field: Field, nrows: int, ncols: int, gens):
+    def __init__(self, field: Field, nrows: int, ncols: int, gens, factors=None):
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
@@ -28,7 +29,8 @@ class MatSpace:
             if g.nrows != nrows or g.ncols != ncols:
                 raise DimMismatch("generator shape mismatch")
         self._echelon = None  # (basis, pivots) of the flattened gens, built on demand
-        self._cols = self._stack = None  # generators side by side, built on demand
+        self._factors, self._split = factors, None  # rank-one factors, found on demand if None
+        self._cols = self._stack = None  # dense generators side by side, built on demand
         self._t = None  # the transpose space, built on demand
 
     @staticmethod
@@ -98,30 +100,56 @@ class MatSpace:
         return Mat(f, [[f.dot(cs, entries) for entries in zip(*rows)]
                        for rows in zip(*(self.gens[k].rows for k in used))])
 
+    @property
+    def factors(self) -> list:
+        """Per generator B in basis order, (x, y) with B = x y^T, or None (_rank_one)."""
+        if self._factors is None:
+            self._factors = [_rank_one(self.field, g) for g in self.gens]
+        return self._factors
+
+    def _parts(self) -> tuple:
+        """(dense generators, factors (x, y) of the rank-one ones), split once."""
+        if self._split is None:
+            fs = self.factors
+            self._split = [g for g, xy in zip(self.gens, fs) if not xy], [xy for xy in fs if xy]
+        return self._split
+
+    def times(self, a: Mat) -> "MatSpace":
+        """The space of the B a: a rank-one B = x y^T gives x (a^T y)^T, factors kept."""
+        f, at = self.field, a.transpose()
+        factors = [xy and (xy[0], at.apply(xy[1])) for xy in self.factors]
+        return MatSpace(f, self.nrows, a.ncols, [
+            b.matmul(a) if xy is None else Mat(f, [f.scale_row(c, xy[1]) for c in xy[0]], a.ncols)
+            for b, xy in zip(self.gens, factors)], factors)
+
     def transpose_space(self) -> "MatSpace":
         if self._t is None:
-            self._t = MatSpace(self.field, self.ncols, self.nrows,
-                               [g.transpose() for g in self.gens])
+            self._t = MatSpace(self.field, self.ncols, self.nrows,  # B^T = y x^T
+                               [g.transpose() for g in self.gens],
+                               [xy and xy[::-1] for xy in self.factors])
         return self._t
 
     # -- actions on subspaces ----------------------------------------------
 
     def image_of(self, u: Subspace, base: Subspace | None = None) -> Subspace:
-        """Span of B(u) over all generators B and basis vectors u, plus base
-        when given: the images are merged into base's echelon."""
+        """Span of B(u) over the generators B and basis vectors u, merged into
+        base's echelon when given; a rank-one B = x y^T gives x iff y.u != 0."""
         self.field.check(u.field)
         if u.ambient_dim != self.ncols:
             raise DimMismatch(f"subspace lives in F^{u.ambient_dim}, "
                               f"matrices act on F^{self.ncols}")
-        f, m, n = self.field, len(self.gens), self.nrows
+        f, n = self.field, self.nrows
+        dense, ones = self._parts()
+        m = len(dense)
         if not f.packs(m * n, self.ncols, m * u.dim):
-            vecs = [g.apply(v) for g in self.gens for v in u.basis]
+            vecs = [g.apply(v) for g in dense for v in u.basis]
         else:
             if self._cols is None:  # B v = sum_j v[j] col_j, col_j column j of all B stacked
-                self._cols = [f.pack([r[j] for g in self.gens for r in g.rows])
+                self._cols = [f.pack([r[j] for g in dense for r in g.rows])
                               for j in range(self.ncols)]
             xs = [f.combine(v, self._cols, m * n) for v in u.basis]
             vecs = [x[k * n:(k + 1) * n] for x in xs for k in range(m)]
+        vecs += [x for x, y in ones if any(map(f.nonzero, map(f.dot, repeat(y), u.basis)))]
         if base is None:
             return Subspace(f, n, vecs)
         return Subspace(f, n, _rref_rows(f, vecs, base.basis, base.pivots)[0], _canonical=True)
@@ -132,24 +160,25 @@ class MatSpace:
         T is the null space of the rows v.B, over the generators B and a
         basis of w's orthogonal.  For each free column j of w's RREF, that
         basis has v = e_j - sum r[j] e_p over the rows r of w with pivot p,
-        so v.B, for all B side by side, is stack[j] - sum r[j] stack[p],
-        where stack[i] is row i of every generator side by side.
-        """
+        so v.B, for all dense B side by side, is stack[j] - sum r[j] stack[p],
+        stack[i] being their rows i side by side; a rank-one x y^T gives y iff x
+        is not in w."""
         f, n = self.field, self.ncols
         f.check(w.field)
         if w.ambient_dim != self.nrows:
             raise DimMismatch(f"subspace lives in F^{w.ambient_dim}, "
                               f"matrices map into F^{self.nrows}")
+        dense, ones = self._parts()
         if self._stack is None:
-            self._stack = [list(chain.from_iterable(g.rows[i] for g in self.gens))
+            self._stack = [list(chain.from_iterable(g.rows[i] for g in dense))
                            for i in range(self.nrows)]
-        stack, rows = self._stack, []
-        for j in sorted(set(range(self.nrows)).difference(w.pivots)):
+        stack, rows = self._stack, [y for x, y in ones if not w.contains_vector(x)]
+        for j in sorted(set(range(self.nrows)).difference(w.pivots)) if dense else ():
             x = stack[j]
             for r, p in zip(w.basis, w.pivots):
                 if f.nonzero(r[j]):
                     x = f.axpy_row(r[j], stack[p], x)
-            rows += [x[k * n:(k + 1) * n] for k in range(len(self.gens))]
+            rows += [x[k * n:(k + 1) * n] for k in range(len(dense))]
         return kernel(Mat(f, rows, n))
 
     # -- products and algebras ----------------------------------------------
@@ -184,6 +213,24 @@ class MatSpace:
             if grown.dim == d.dim:
                 return d
             d = grown
+
+
+def _rank_one(f: Field, g: Mat):
+    """(x, y) with g = x y^T, or None for g zero or of rank above one: each row
+    after the first nonzero one, r, must equal c r as stored (unreduced: None)."""
+    for i, r in enumerate(g.rows):
+        p = next(compress(count(), map(f.nonzero, r)), None)
+        if p is not None:
+            break
+    else:
+        return None
+    rest = g.rows[i + 1:]
+    if rest and f.mul(rest[0][p], r[-1]) != f.mul(rest[0][-1], r[p]):  # a 2 x 2 minor
+        return None
+    y = f.scale_row(f.inv(r[p]), r)
+    if any(s != f.scale_row(s[p], y) for s in rest):
+        return None
+    return [s[p] for s in g.rows], y
 
 
 def _grow(sp: MatSpace, w: Subspace, pull=lambda w: w) -> tuple[list[Subspace], Subspace]:

@@ -78,21 +78,20 @@ def witness_test(a: Mat, sp: MatSpace) -> WitnessReport:
     If every term stays inside im(a), a is of maximum rank and the preimage
     a^{-1}(W*) of the limit is a cork-witness.  Otherwise, with a pseudo-inverse
     A', the terms are W_i = D^i(U), i >= 1, for D = space . A' and U = ker(a A')
-    up to the first one outside U' = im(a): the power overflow instance.
+    up to the first one outside U' = im(a): the power overflow instance.  D is
+    sp.times(A'): a rank-one x y^T gives the outer product x (A'^T y)^T, no matmul.
     """
     if a.nrows != a.ncols:
         raise NotSquare("witness test needs a square space (pad first)")
     if not sp.contains(a):
         raise NotMember("anchor matrix is not in the space")
-    n = a.nrows
     im_a = image(a)
     terms, witness = _second_wong(a, sp)  # witness = a^{-1}(W*)
     i = next((i for i, w in enumerate(terms) if not im_a.contains(w)), None)
     if i is not None:
         a_pi = pseudo_inverse(a)
-        ba = MatSpace(sp.field, n, n, [b.matmul(a_pi) for b in sp.gens])
         u = kernel(a.matmul(a_pi))
-        return WitnessReport(exists=False, stopped_at=i, po=PoInstance(ba, u, im_a))
-    cork = n - im_a.dim
+        return WitnessReport(exists=False, stopped_at=i, po=PoInstance(sp.times(a_pi), u, im_a))
+    cork = a.nrows - im_a.dim
     assert verify_witness(sp, witness, cork), "witness failed its own check"
     return WitnessReport(exists=True, witness=witness, c=cork)

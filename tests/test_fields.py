@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from symrank import (ExtensionField, FieldSpec, PrimeField, RationalField,
+from symrank import (ExtensionField, FieldSpec, Mat, PrimeField, RationalField,
                      SymrankError, distinct_elements, ensure_size, make_field)
 from symrank.errors import NonPrimeModulus, ReducibleModulus
 from symrank.fields import (_MR_BOUND, TABLE_MAX, _counting, _find_irreducible, _is_prime,
@@ -265,3 +265,23 @@ def test_extension_tables_match_polynomial_arithmetic(p, k):
             assert f.inv(a) == _reference_inv(f, a)
     with pytest.raises(ZeroDivisionError):
         f.inv(f.zero)
+
+
+def test_untabled_axpy_by_plus_or_minus_one_makes_no_product(monkeypatch):
+    # GF(1000003^2) has no tables, so Mat.axpy runs Field.axpy_row: a + g and
+    # a - g take one add or sub per entry, and any other multiplier multiplies
+    f = ExtensionField(1000003, 2, _find_irreducible(1000003, 2))
+    assert f._log is None
+    rng = random.Random(29)
+    a, g = (Mat(f, [[(rng.randrange(f.p), rng.randrange(f.p)) for _ in range(4)]
+                    for _ in range(3)]) for _ in range(2))
+    two = f.from_int(2)
+    expected = {c: [[f.add(x, f.mul(c, y)) for x, y in zip(r, s)] for r, s in zip(a.rows, g.rows)]
+                for c in (f.one, f.neg(f.one), two)}
+    muls = []
+    monkeypatch.setattr(f, "mul", lambda x, y: muls.append(1) or ExtensionField.mul(f, x, y))
+    assert a.axpy(f.one, g).rows == expected[f.one]
+    assert a.axpy(f.neg(f.one), g).rows == expected[f.neg(f.one)]
+    assert muls == []
+    assert a.axpy(two, g).rows == expected[two]
+    assert len(muls) == 12

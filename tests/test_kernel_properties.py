@@ -377,3 +377,71 @@ def test_packed_image_and_preimage(f, data):
                                                      for v in u.basis])
         w = Subspace(f, nrows, data.draw(raw_rows(f, nrows, nrows + 1)))
         assert sp.preimage_of(w) == lsp.transpose_space().image_of(w.orthogonal()).orthogonal()
+
+
+# -- rank-one factors ----------------------------------------------------------
+
+FACTOR_FIELDS = [PrimeField(2), PrimeField(3), PrimeField(101),
+                 ExtensionField(3, 2, _find_irreducible(3, 2)),
+                 ExtensionField(1000003, 2, _find_irreducible(1000003, 2)), RationalField()]
+FACTOR_IDS = ["gf2", "gf3", "gf101", "gf3^2", "gf1000003^2", "q"]
+
+
+def outer(f, x, y):
+    return Mat(f, [[f.mul(a, b) for b in y] for a in x], len(y))
+
+
+@st.composite
+def mixed_generators(draw, f, nrows, ncols):
+    """Sums of one or two outer products, or dense matrices, in a drawn order."""
+    gens = []
+    for terms in draw(st.lists(st.sampled_from([1, 2, None]), max_size=5)):
+        if terms is None:
+            gens.append(draw(matrices(f, nrows, ncols)))
+            continue
+        g = Mat.zeros(f, nrows, ncols)
+        for _ in range(terms):
+            g = g.axpy(f.one, outer(f, draw(vectors(f, nrows)), draw(vectors(f, ncols))))
+        gens.append(g)
+    return gens
+
+
+def _subspaces(draw, f, n):
+    return Subspace(f, n, draw(st.lists(vectors(f, n), max_size=n + 1)))
+
+
+def _refuse_apply(self, vec):
+    raise AssertionError("a rank-one generator was applied as a matrix")
+
+
+@pytest.mark.parametrize("f", FACTOR_FIELDS, ids=FACTOR_IDS)
+@PROPERTY
+@given(data=st.data())
+def test_factored_image_and_preimage(f, data):
+    # rank-one generators act through x y^T: against every generator applied,
+    # and the preimage against the duality formula with the transposes applied
+    nrows, ncols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    gens = data.draw(mixed_generators(f, nrows, ncols))
+    for sp in (MatSpace.from_spanning(gens, f, nrows, ncols),
+               MatSpace.of(Mat.zeros(f, nrows, ncols))):
+        for g, xy in zip(sp.gens, sp.factors):
+            assert (xy is not None) == (g.rank() == 1)
+            assert xy is None or outer(f, *xy) == g
+        for space, mats in ((sp, sp.gens), (sp.transpose_space(), [g.transpose() for g in sp.gens])):
+            u = _subspaces(data.draw, f, space.ncols)
+            image = Subspace(f, space.nrows, [g.apply(v) for g in mats for v in u.basis])
+            assert space.image_of(u) == image
+            base = _subspaces(data.draw, f, space.nrows)
+            assert space.image_of(u, base) == image.sum(base)
+            w = _subspaces(data.draw, f, space.nrows)
+            perp = w.orthogonal().basis
+            assert space.preimage_of(w) == Subspace(
+                f, space.ncols, [g.transpose().apply(v) for g in mats for v in perp]).orthogonal()
+    ones = MatSpace.from_spanning(
+        [outer(f, data.draw(vectors(f, nrows)), data.draw(vectors(f, ncols))) for _ in range(3)],
+        f, nrows, ncols)
+    u = _subspaces(data.draw, f, ncols)
+    image = Subspace(f, nrows, [g.apply(v) for g in ones.gens for v in u.basis])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Mat, "apply", _refuse_apply)
+        assert ones.image_of(u) == image

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from symrank import (Mat, MatSpace, PrimeField, RationalField, Subspace,
-                     smr, smr_rank_only, verify_witness)
+from symrank import (Mat, MatSpace, PrimeField, RationalField, Subspace, pseudo_inverse, sk3,
+                     smr, smr_rank_only, verify_witness, witness_test)
 from symrank.errors import EmptySpace
 from symrank.oracles import brute_max_rank
-from symrank.fields import FieldSpec
+from symrank.fields import FieldSpec, extension_field
+from symrank.linalg import raise_rank
 from symrank.smr import (check_claim, check_result, greedy_start, pad_square,
                          reduce_coefficients, working_space)
 from conftest import GF2, GF3, GF5, GF7, rand_nonsingular, rank_one_space
@@ -228,3 +229,77 @@ def test_reduce_coefficients_matches_expansion():
             out, b, r = reduce_coefficients(sp, coeffs, a, a.rank())
             assert out == _reduce_by_expansion(sp, coeffs)
             assert b == sp.element(out) and r == b.rank()
+
+
+def _greedy_by_ranks(sp, limit):
+    """greedy_start with every generator decided by raise_rank, the rank of
+    A + B: the reference for the echelon test on rank-one generators."""
+    coeffs = [sp.field.zero] * sp.dim
+    a, r = Mat.zeros(sp.field, sp.nrows, sp.ncols), 0
+    for i, g in enumerate(sp.gens):
+        if r == limit:
+            break
+        found = raise_rank(a, g, [sp.field.one], r + 1)
+        if found:
+            coeffs[i], a, r = found
+    return coeffs, a, r
+
+
+def _mixed_space():
+    """E11 is taken, then E22 + E33, which is dense, so the echelons are
+    rebuilt from A = diag(1, 1, 1, 0): E23 has x in im A and E42 has y in
+    row A, so both are refused, E44 is taken and E14 comes after rank 4.
+    Echelons left at E11 alone would take E23."""
+    def unit(i, j):
+        return Mat.from_ints(GF5, [[int((r, c) == (i, j)) for c in range(4)] for r in range(4)])
+    return MatSpace.from_spanning([unit(0, 0), unit(1, 1).axpy(1, unit(2, 2)), unit(1, 2),
+                                   unit(3, 1), unit(3, 3), unit(0, 3)])
+
+
+def test_greedy_start_matches_rank_decisions():
+    rng = random.Random(47)
+    spaces = [rank_one_space(rng, f, rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 9))
+              for f in (GF2, GF3, GF7, PrimeField(101), extension_field(2, 2))
+              for _ in range(25)]
+    for f in (GF2, GF3, PrimeField(101), RationalField()):
+        for k in (1, 2, 3, 4):
+            spaces.append(crown(f, k, (_nonsingular(rng, f, 2 * k), _nonsingular(rng, f, 2 * k))))
+    spaces += [sk3(f) for f in (GF5, extension_field(2, 3), RationalField())]
+    mixed = _mixed_space()
+    spaces.append(mixed)
+    for _ in range(20):  # rank-one generators with dense ones among them
+        f = rng.choice([GF3, GF7])
+        n = rng.randint(2, 5)
+        gens = rank_one_space(rng, f, n, n, rng.randint(1, 6)).gens
+        for _ in range(rng.randint(1, 2)):
+            gens.insert(rng.randint(0, len(gens)), rand_nonsingular(rng, f, n))
+        spaces.append(MatSpace.from_spanning(gens, f, n, n))
+    for sp in spaces:
+        for limit in {min(sp.nrows, sp.ncols), 1}:
+            assert greedy_start(sp, limit) == _greedy_by_ranks(sp, limit)
+    assert [xy is None for xy in mixed.factors] == [False, True, False, False, False, False]
+    assert greedy_start(mixed, 4)[::2] == ([1, 1, 0, 0, 1, 0], 4)
+
+
+def test_witness_test_po_space_is_the_product_by_the_pseudo_inverse():
+    # D = B A' from the factors x (A'^T y)^T, against the products themselves
+    rng = random.Random(53)
+    cases = 0
+    for f in (GF3, PrimeField(101), extension_field(2, 2), RationalField()):
+        for _ in range(12):
+            n = rng.randint(2, 6)
+            if f.cardinality() is None:
+                sp = crown(f, n // 2 or 1, (_nonsingular(rng, f, 2 * (n // 2 or 1)),
+                                            _nonsingular(rng, f, 2 * (n // 2 or 1))))
+            else:
+                sp = rank_one_space(rng, f, n, n, rng.randint(2, 2 * n))
+            a = sp.gens[0]
+            report = witness_test(a, sp)
+            if report.exists:
+                continue
+            cases += 1
+            d, a_pi = report.po.d, pseudo_inverse(a)
+            assert d.gens == [b.matmul(a_pi) for b in sp.gens]
+            assert all(xy is not None and d.gens[k] == Mat(f, [f.scale_row(c, xy[1]) for c in xy[0]])
+                       for k, xy in enumerate(d.factors))
+    assert cases >= 30
