@@ -285,10 +285,6 @@ class Subspace:
         """Orthogonal complement for the standard bilinear form."""
         return kernel(self.basis_matrix())
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        return self.orthogonal().sum(other.orthogonal()).orthogonal()
-
 
 def kernel(m: Mat) -> Subspace:
     """Null space of m, a subspace of F^cols, from one elimination.

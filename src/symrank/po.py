@@ -22,16 +22,6 @@ class PoInstance:
     u_prime: Subspace
 
 
-class HelperSpace(MatSpace):
-    """A subspace of D that keeps each generator's coordinates in D's basis."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, d: MatSpace, gens: list[Mat], coords: list):
-        super().__init__(d.field, d.nrows, d.ncols, gens)
-        self.coords = coords
-
-
 @dataclass
 class PoAnswer:
     found: bool
@@ -63,39 +53,41 @@ def find_ell(inst: PoInstance):
     return None, images
 
 
-def helpful_subspaces(inst: PoInstance, ell: int,
-                      images: list[Subspace]) -> list[HelperSpace]:
-    """The spaces H_1..H_ell of elements that only help at one position.
+def helpful_subspaces(inst: PoInstance, ell: int, images: list[Subspace]) -> list[list]:
+    """Coordinate bases, over D's basis, of the spaces H_1..H_ell of elements
+    that only help at one position.
 
     H_i is the set of X in D with X(I_(j-1)) inside P_(ell-j) for all j != i,
     where I_k are find_ell's images and P_0 = U', P_k = D^-1(P_(k-1)): an
     element at any position j != i of a length-ell product still maps U
     into U'.  The orthogonals are images under the transpose space,
     P_0^perp = U'^perp and P_k^perp = D^T(P_(k-1)^perp).  Position j
-    contributes the rows [v . (B w) for B in D's basis] for w in I_(j-1)'s
-    basis and v in the basis of P_(ell-j)^perp.
+    contributes the rows of _rows(d, I_(j-1), P_(ell-j)^perp).
     """
     d, u_prime = inst.d, inst.u_prime
-    f = d.field
     d_t = d.transpose_space()
     perps = [u_prime.orthogonal()]
     for _ in range(ell - 1):
         perps.append(d_t.image_of(perps[-1]))
-    eqs = []
-    for j in range(1, ell + 1):
-        perp = perps[ell - j]
-        rows = []
-        for w in images[j - 1].basis:
-            moved = Mat(f, [g.apply(w) for g in d.gens])  # row k is B_k w
-            rows += [moved.apply(v) for v in perp.basis]
-        eqs.append(rows)
+    eqs = [_rows(d, images[j - 1], perps[ell - j]) for j in range(1, ell + 1)]
+    return [kernel(Mat(d.field, [r for j, rows in enumerate(eqs) if j != i for r in rows],
+                       d.dim)).basis
+            for i in range(ell)]
 
-    spaces = []
-    for i in range(ell):
-        eq_rows = [r for j, rows in enumerate(eqs) if j != i for r in rows]
-        coords = kernel(Mat(f, eq_rows, d.dim)).basis
-        spaces.append(HelperSpace(d, [d.element(c) for c in coords], coords))
-    return spaces
+
+def _rows(d: MatSpace, s: Subspace, perp: Subspace) -> list:
+    """The rows [v . (B_k w)]_k over D's basis B_k, for w in s's basis and v in
+    perp's: sum c_k B_k maps s into perp^perp iff c is orthogonal to every row."""
+    f = d.field
+    return [[f.dot(v, bw) for bw in bws] for bws in map(d.apply_each, s.basis)
+            for v in perp.basis]
+
+
+def _span(sp: MatSpace, cs: list, s: Subspace) -> Subspace:
+    """The span of (sum_k c_k B_k) w over c in cs and w in s's basis."""
+    f = sp.field
+    return Subspace(f, sp.nrows, [[f.dot(c, col) for col in zip(*bws)]
+                                  for bws in map(sp.apply_each, s.basis) for c in cs])
 
 
 def solve_po(inst: PoInstance) -> PoAnswer:
@@ -104,6 +96,8 @@ def solve_po(inst: PoInstance) -> PoAnswer:
     Fixes X_ell, then X_{ell-1}, ..., X_1 from the respective bases so each
     X_i maps H_(i-1) ... H_1(U) out of U' pulled back through the chosen
     X_ell ... X_(i+1); the sum X_1 + ... + X_ell then overflows at exponent ell.
+    Every X is kept as its coordinates c over D's basis, and the pulled-back
+    target T as T^perp: X^-1(T)^perp = X^T(T^perp).
     """
     d, u, u_prime = inst.d, inst.u, inst.u_prime
     ell, images = find_ell(inst)
@@ -112,20 +106,20 @@ def solve_po(inst: PoInstance) -> PoAnswer:
     helpers = helpful_subspaces(inst, ell, images)
 
     prefixes = [u]
-    for h in helpers[:-1]:
-        prefixes.append(h.image_of(prefixes[-1]))
+    for cs in helpers[:-1]:
+        prefixes.append(_span(d, cs, prefixes[-1]))
 
     f = d.field
-    target = u_prime
+    perp = u_prime.orthogonal()
     coords = [f.zero] * d.dim
     for i in range(ell, 0, -1):
-        h = helpers[i - 1]
-        for g, c in zip(h.gens, h.coords):
-            if not target.contains((g_sp := MatSpace.of(g)).image_of(prefixes[i - 1])):
+        rows = _rows(d, prefixes[i - 1], perp)
+        for c in helpers[i - 1]:
+            if any(f.nonzero(f.dot(c, r)) for r in rows):
                 break
         else:
             return PoAnswer(found=False)
-        target = g_sp.preimage_of(target)  # the same space: its factors are found once
+        perp = _span(d.transpose_space(), [c], perp)
         coords = [f.add(x, y) for x, y in zip(coords, c)]
     x = d.element(coords)
     assert _power_escapes(x, ell, u, u_prime), "power overflow check failed"

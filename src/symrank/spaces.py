@@ -131,6 +131,12 @@ class MatSpace:
 
     # -- actions on subspaces ----------------------------------------------
 
+    def apply_each(self, v) -> list:
+        """[B v for B in the basis]; a rank-one B = x y^T gives (y.v) x."""
+        f = self.field
+        return [g.apply(v) if xy is None else f.scale_row(f.dot(xy[1], v), xy[0])
+                for g, xy in zip(self.gens, self.factors)]
+
     def image_of(self, u: Subspace, base: Subspace | None = None) -> Subspace:
         """Span of B(u) over the generators B and basis vectors u, merged into
         base's echelon when given; a rank-one B = x y^T gives x iff y.u != 0."""

@@ -244,7 +244,7 @@ def test_single_matrix_preimage(data):
     w = Subspace(f, nrows, data.draw(st.lists(vectors(f, nrows), max_size=nrows)))
     pre = MatSpace.of(a).preimage_of(w)
     assert all(w.contains_vector(a.apply(x)) for x in pre.basis)
-    assert pre.dim == kernel(a).dim + w.intersect(image(a)).dim
+    assert pre.dim == kernel(a).dim + w.orthogonal().sum(image(a).orthogonal()).orthogonal().dim
 
 
 @PROPERTY
@@ -431,6 +431,7 @@ def test_factored_image_and_preimage(f, data):
             u = _subspaces(data.draw, f, space.ncols)
             image = Subspace(f, space.nrows, [g.apply(v) for g in mats for v in u.basis])
             assert space.image_of(u) == image
+            assert all(space.apply_each(v) == [g.apply(v) for g in mats] for v in u.basis)
             base = _subspaces(data.draw, f, space.nrows)
             assert space.image_of(u, base) == image.sum(base)
             w = _subspaces(data.draw, f, space.nrows)
@@ -442,6 +443,8 @@ def test_factored_image_and_preimage(f, data):
         f, nrows, ncols)
     u = _subspaces(data.draw, f, ncols)
     image = Subspace(f, nrows, [g.apply(v) for g in ones.gens for v in u.basis])
+    moved = [[g.apply(v) for g in ones.gens] for v in u.basis]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Mat, "apply", _refuse_apply)
         assert ones.image_of(u) == image
+        assert [ones.apply_each(v) for v in u.basis] == moved

@@ -99,7 +99,7 @@ def test_subspace_sum_intersect_complement():
     e12 = Subspace(GF5, 3, [[1, 0, 0], [0, 1, 0]])
     e23 = Subspace(GF5, 3, [[0, 1, 0], [0, 0, 1]])
     assert e1.sum(e2) == e12
-    assert e12.intersect(e23) == e2
+    assert e12.orthogonal().sum(e23.orthogonal()).orthogonal() == e2
 
 
 def test_subspace_canonical_equality():

@@ -9,6 +9,13 @@ from symrank.po import _power_escapes
 from conftest import GF5, GF7, rank_one_space, rand_subspace
 
 
+def helper_spaces(inst, ell, images):
+    """The helpful subspaces as matrix spaces, from their coordinate bases."""
+    d = inst.d
+    return [MatSpace(d.field, d.nrows, d.ncols, [d.element(c) for c in cs])
+            for cs in helpful_subspaces(inst, ell, images)]
+
+
 def jordan_instance():
     d = MatSpace.from_spanning([
         Mat.from_ints(GF5, [[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
@@ -35,7 +42,7 @@ def test_find_ell_none():
 def test_helpful_subspaces_jordan():
     inst = jordan_instance()
     ell, traces = find_ell(inst)
-    hs = helpful_subspaces(inst, ell, traces)
+    hs = helper_spaces(inst, ell, traces)
     e12 = Mat.from_ints(GF5, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     e23 = Mat.from_ints(GF5, [[0, 0, 0], [0, 0, 1], [0, 0, 0]])
     assert hs[0].dim == 1 and hs[0].contains(e23)
@@ -50,7 +57,7 @@ def test_helpful_subspaces_ell_one_is_whole_space():
     inst = PoInstance(d, u, u_prime)
     ell, traces = find_ell(inst)
     assert ell == 1
-    hs = helpful_subspaces(inst, ell, traces)
+    hs = helper_spaces(inst, ell, traces)
     assert hs[0].dim == d.dim
     assert hs[0].gens == d.gens
 
@@ -80,7 +87,7 @@ def test_solve_po_empty_helpers():
                       Subspace(GF5, 3, [[0, 1, 0], [0, 0, 1]]))
     ell, images = find_ell(inst)
     assert ell == 2
-    assert [h.dim for h in helpful_subspaces(inst, ell, images)] == [0, 0]
+    assert [h.dim for h in helper_spaces(inst, ell, images)] == [0, 0]
     assert not solve_po(inst).found
 
 
@@ -155,7 +162,8 @@ def suffix_product_po(inst):
     ell, images = find_ell(inst)
     if ell is None:
         return PoAnswer(found=False)
-    helpers = helpful_subspaces(inst, ell, images)
+    coords = helpful_subspaces(inst, ell, images)
+    helpers = [MatSpace(d.field, d.nrows, d.ncols, [d.element(c) for c in cs]) for cs in coords]
 
     prefixes = [u]
     for h in helpers[:-1]:
@@ -164,18 +172,18 @@ def suffix_product_po(inst):
     f = d.field
     n = d.nrows
     suffix = Mat.identity(f, n)
-    coords = [f.zero] * d.dim
+    total = [f.zero] * d.dim
     for i in range(ell, 0, -1):
         h = helpers[i - 1]
-        for g, c in zip(h.gens, h.coords):
+        for g, c in zip(h.gens, coords[i - 1]):
             trial = suffix.matmul(g)
             if not u_prime.contains(MatSpace.of(trial).image_of(prefixes[i - 1])):
                 break
         else:
             return PoAnswer(found=False)
         suffix = trial
-        coords = [f.add(x, y) for x, y in zip(coords, c)]
-    return PoAnswer(found=True, ell=ell, coefficients=coords)
+        total = [f.add(x, y) for x, y in zip(total, c)]
+    return PoAnswer(found=True, ell=ell, coefficients=total)
 
 
 def _po_corpus(rng):
@@ -210,3 +218,24 @@ def test_solve_po_matches_suffix_product_greedy():
         found += ans.found
         greedy_no += not ans.found and find_ell(inst)[0] is not None
     assert found > 0 and greedy_no > 0
+
+
+def test_solve_po_forms_one_element_per_answer(monkeypatch):
+    # PO works on coordinates over D's basis: the only element of D it forms is
+    # the answer, for the closing _power_escapes check, and none for a "no"
+    calls = []
+    element = MatSpace.element
+
+    def counting(self, coeffs):
+        calls.append(coeffs)
+        return element(self, coeffs)
+
+    monkeypatch.setattr(MatSpace, "element", counting)
+    found = no = 0
+    for inst in _po_corpus(random.Random(29)):
+        calls.clear()
+        ans = solve_po(inst)
+        assert calls == ([ans.coefficients] if ans.found else [])
+        found += ans.found
+        no += not ans.found
+    assert found > 0 and no > 0

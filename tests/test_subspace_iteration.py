@@ -30,9 +30,10 @@ def check_helpers_match_definition(inst: PoInstance) -> int:
     """H_i = {X in D : D^(ell-j) X D^(j-1)(U) <= U' for all j != i}."""
     ell, images = find_ell(inst)
     assert ell is not None
-    hs = helpful_subspaces(inst, ell, images)
-    assert len(hs) == ell
     d, u, u_prime = inst.d, inst.u, inst.u_prime
+    hs = [MatSpace(d.field, d.nrows, d.ncols, [d.element(c) for c in cs])
+          for cs in helpful_subspaces(inst, ell, images)]
+    assert len(hs) == ell
     lefts = {j: space_power(d, ell - j) for j in range(1, ell + 1)}
     rights = {j: space_power(d, j - 1).image_of(u) for j in range(1, ell + 1)}
     for h in hs:
