@@ -19,7 +19,7 @@ import sys
 from . import oracles, sdit
 from .smr import SmrResult, check_claim, pad_square, working_space
 from .smr import smr as run_smr
-from .errors import NotSquare, SymrankError
+from .errors import EmptySpace, NotSquare, SymrankError
 from .fields import FieldSpec, _json_int, _json_typed, extension_field, make_field
 from .linalg import Mat, Subspace
 from .po import PoInstance, _power_escapes, solve_po
@@ -354,8 +354,13 @@ def verify_certificate(sp: MatSpace, cert: dict) -> bool:
     if algo == "rational_sdit":
         if status != "nonsingular_combination":
             return True
-        ints = _coefficients(_json_int, cert)
-        return sdit.integer_nonsingular(integer_generators(sp), ints)
+        if sp.dim == 0:
+            raise EmptySpace("no generators to combine")
+        f = sp.field  # a nonzero determinant over Z is full rank over Q
+        space = MatSpace(f, sp.nrows, sp.ncols,
+                         [Mat.from_ints(f, g) for g in integer_generators(sp)])
+        coeffs = _coefficients(lambda v: f.from_int(_json_int(v)), cert)
+        return sdit.check_outcome(space, sdit.TriOutcome("nonsingular", coeffs))
 
     if algo == "po":
         u = _subspace_from_json(sp.field, sp.ncols, cert["u_basis"])

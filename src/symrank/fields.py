@@ -244,9 +244,8 @@ class Field:
                 acc = add(acc, mul(a, b))
         return acc
 
-    def packs(self, n: int, terms: int, rows: int) -> bool:
-        """Whether a batch of `rows` rows of n entries, each a sum of at most
-        `terms` products of two entries, is computed packed (PrimeField.pack)."""
+    def packs(self, n: int, rows: int) -> bool:
+        """Whether a batch of `rows` rows of n entries is eliminated packed."""
         return False
 
     def row_from_json(self, row) -> list:
@@ -308,12 +307,12 @@ class PrimeField(Field):
 
     # A packed row is one int, entry j (reduced mod p) in the 64-bit slot at bit
     # 64j.  Nonnegative multiples of packed rows add slot by slot while no slot
-    # reaches 2^64: a sum of `terms` products fits when terms * p^2 <= 2^64.
+    # reaches 2^64: a sum of n products fits when n * p^2 <= 2^64.
 
-    def packs(self, n: int, terms: int, rows: int) -> bool:
+    def packs(self, n: int, rows: int) -> bool:
         p = self.p
         return (n >= PACK_MIN and rows * (p - 1) ** 2 > PACK_MIN_ROWS * p * p
-                and terms * p * p <= 1 << 64 and sys.byteorder == "little")
+                and n * p * p <= 1 << 64 and sys.byteorder == "little")
 
     def pack(self, row, reduced: bool = False) -> int:
         p = self.p
@@ -341,9 +340,9 @@ class PrimeField(Field):
         return Field.row_from_json(self, row)  # refuses the first bad entry
 
 
-# GF(p) rows from PACK_MIN entries are packed (PrimeField.pack) in batches of
-# `rows` rows with rows ((p - 1) / p)^2 > PACK_MIN_ROWS, ((p - 1) / p)^2 being
-# how often a product x_i y_j of random entries is nonzero.  A pack or unpack
+# linalg._eliminate packs GF(p) rows from PACK_MIN entries (PrimeField.pack) in
+# batches of `rows` rows with rows ((p - 1) / p)^2 > PACK_MIN_ROWS, ((p - 1) / p)^2
+# being how often a product x_i y_j of random entries is nonzero.  A pack or unpack
 # costs about one list axpy, and the list path skips zero multipliers: on the
 # bench pools, 3-5 rows of 16-100 entries took 1.3-2.5x the list time packed,
 # 6-20 rows of 49-100 entries 0.4-0.9x over GF(101), and 8-12 rows of 25-36

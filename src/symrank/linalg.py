@@ -155,7 +155,7 @@ def _eliminate(f: Field, rows, basis=(), pivots=(), reduced=True):
     cleared at return, last row first, by the finished rows after it.
     """
     n = len(rows[0]) if rows else 0
-    packs = f.packs(n, n, len(rows))
+    packs = f.packs(n, len(rows))
     basis, pivots, leads = list(basis), list(pivots), []
     packed = [f.pack(r) for r in basis] if packs else None
     nonzero, axpy = f.nonzero, f.axpy_row

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -97,12 +96,15 @@ def _tri(mats: list[Mat], n: int, field, skip: Optional[int] = None) -> TriOutco
 
 def check_outcome(sp: MatSpace, out: TriOutcome, c: int = 1) -> bool:
     """The claim of a tri_algo outcome on sp: a full-rank combination of sp's
-    basis, or a witness U with dim U - dim sp(U) >= max(1, c); fail claims nothing."""
+    basis, or a witness U with dim U - dim sp(U) >= max(1, c); fail claims
+    nothing, and any other kind is refused (ValueError)."""
     if out.kind == "nonsingular":
         return sp.element(out.coefficients).rank() == sp.nrows
     if out.kind == "witness":
         return verify_witness(sp, out.witness, max(1, c))
-    return True
+    if out.kind == "fail":
+        return True
+    raise ValueError(f"unknown tri_algo outcome {out.kind!r}")
 
 
 def tri_algo(sp: MatSpace) -> TriOutcome:
@@ -160,10 +162,6 @@ class RationalSditReport:
     bound_used: int = 0
 
 
-def _primes_above(n: int):
-    return filter(_is_prime, itertools.count(max(n, 1) + 1))
-
-
 def _int_det(rows: list[list[int]]) -> int:
     """Fraction-free Bareiss determinant of an integer matrix."""
     a = [list(r) for r in rows]
@@ -185,25 +183,15 @@ def _int_det(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def integer_nonsingular(int_mats: list[list[list[int]]], ints: list[int]) -> bool:
-    """Whether sum_k ints[k] * int_mats[k] has a nonzero determinant, exactly."""
-    if not int_mats or len(ints) != len(int_mats):
-        raise ValueError("need a generator, and exactly one coefficient per generator")
-    n = len(int_mats[0])
-    if any(len(mat) != n or any(len(row) != n for row in mat) for mat in int_mats):
-        raise ValueError("the determinant needs square generators of one size")
-    return _int_det([[sum(map(operator.mul, ints, entries)) for entries in zip(*rows)]
-                     for rows in zip(*int_mats)]) != 0
-
-
 def rational_sdit(int_mats: list[list[list[int]]]) -> RationalSditReport:
     """Mod-p reduction pipeline for integer generator matrices.
 
     Tries ascending primes p > n until one succeeds or their product exceeds
     a Hadamard-style bound on |det| of any combination with coefficients in
-    {0..n}; a nonsingular mod-p combination is accepted only after its
-    integer determinant is verified nonzero exactly.  primes_tried lists the
-    primes tried, in order.
+    {0..n}.  primes_tried lists the primes tried, in order.  A nonsingular
+    mod-p outcome needs no check over Z: with its coefficients c_k lifted to
+    [0, p), det(sum c_k int_mats[k]) = det(E) (mod p) for the combination E
+    over GF(p), whose rank n tri_algo has checked, so the determinant is nonzero.
     """
     if not int_mats:
         raise EmptySpace("no generators to combine")
@@ -213,7 +201,7 @@ def rational_sdit(int_mats: list[list[list[int]]]) -> RationalSditReport:
     bound = (math.isqrt(n ** n) + 1) * (((n + 1) * m * b) ** n)
 
     primes, acc = [], 1
-    for p in _primes_above(n):
+    for p in filter(_is_prime, itertools.count(max(n, 1) + 1)):
         primes.append(p)
         acc *= p
         gf = make_field(FieldSpec("prime", p=p))
@@ -221,11 +209,9 @@ def rational_sdit(int_mats: list[list[list[int]]]) -> RationalSditReport:
         # unpruned, so coefficient positions stay those of int_mats
         out = tri_algo(MatSpace(gf, n, mats[0].ncols, mats))
         if out.kind == "nonsingular":
-            ints = [c % p for c in out.coefficients]
-            if integer_nonsingular(int_mats, ints):
-                return RationalSditReport("nonsingular_combination", prime_used=p,
-                                          integer_coefficients=ints,
-                                          primes_tried=primes, bound_used=bound)
+            return RationalSditReport("nonsingular_combination", prime_used=p,
+                                      integer_coefficients=[c % p for c in out.coefficients],
+                                      primes_tried=primes, bound_used=bound)
         if acc > bound:
             break
     return RationalSditReport("inconclusive", primes_tried=primes, bound_used=bound)

@@ -16,8 +16,8 @@ from .linalg import Mat, Subspace, _eliminate, _rref_rows, kernel, solve
 class MatSpace:
     """Linear span of matrices, stored as a linearly independent basis."""
 
-    __slots__ = ("field", "nrows", "ncols", "gens", "_echelon", "_factors", "_split", "_cols",
-                 "_stack", "_t")
+    __slots__ = ("field", "nrows", "ncols", "gens", "_echelon", "_factors", "_split", "_stack",
+                 "_t")
 
     def __init__(self, field: Field, nrows: int, ncols: int, gens, factors=None):
         self.field = field
@@ -30,7 +30,7 @@ class MatSpace:
                 raise DimMismatch("generator shape mismatch")
         self._echelon = None  # (basis, pivots) of the flattened gens, built on demand
         self._factors, self._split = factors, None  # rank-one factors, found on demand if None
-        self._cols = self._stack = None  # dense generators side by side, built on demand
+        self._stack = None  # dense generators side by side, built on demand
         self._t = None  # the transpose space, built on demand
 
     @staticmethod
@@ -146,15 +146,7 @@ class MatSpace:
                               f"matrices act on F^{self.ncols}")
         f, n = self.field, self.nrows
         dense, ones = self._parts()
-        m = len(dense)
-        if not f.packs(m * n, self.ncols, m * u.dim):
-            vecs = [g.apply(v) for g in dense for v in u.basis]
-        else:
-            if self._cols is None:  # B v = sum_j v[j] col_j, col_j column j of all B stacked
-                self._cols = [f.pack([r[j] for g in dense for r in g.rows])
-                              for j in range(self.ncols)]
-            xs = [f.combine(v, self._cols, m * n) for v in u.basis]
-            vecs = [x[k * n:(k + 1) * n] for x in xs for k in range(m)]
+        vecs = [g.apply(v) for g in dense for v in u.basis]
         vecs += [x for x, y in ones if any(map(f.nonzero, map(f.dot, repeat(y), u.basis)))]
         if base is None:
             return Subspace(f, n, vecs)

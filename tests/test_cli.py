@@ -371,6 +371,9 @@ TAMPER_CASES = [
     _tamper("smr", _bump("c"), 2, "c-plus-one"),
     _tamper("smr", _drop_coefficient, 1, "dropped-coefficient"),
     _tamper("sdit-tri-mod-p", _drop_coefficient, 1, "dropped-coefficient"),
+    # a singular combination: diag(1, 0) after scaling, and the nilpotent generator
+    _tamper("sdit-tri-mod-p", _set(coefficients=[1, 0]), 2, "singular-combination"),
+    _tamper("sdit-tri-nonsingular", _set(coefficients=[1, 0]), 2, "singular-combination"),
     # a failed_po certificate claims a lower bound: the combination has rank `rank`
     _tamper("smr-failed-po", _bump("rank"), 2, "rank-plus-one"),
     _tamper("smr-failed-po", _set(rank=1), 2, "rank-minus-one"),
@@ -481,6 +484,20 @@ def test_verify_refuses_sdit_on_non_square(tmp_path, capsys, shape, cert):
     out, err = capsys.readouterr()
     assert "PASS" not in out
     assert err.count("error: SDIT is defined for square spaces") == 2
+
+
+def test_verify_refuses_mod_p_claim_without_generators(tmp_path, capsys):
+    # an all-zero basis spans 0: sdit-tri --mod-p refuses it, and so does verify
+    inst = write_json(tmp_path / "zero.json", {
+        "field": Q, "n": 1, "n_cols": 1, "basis": [[["0"]]]})
+    cert = write_json(tmp_path / "cert.json", {
+        "algorithm": "rational_sdit", "status": "nonsingular_combination",
+        "working_field": Q, "prime_used": 2, "coefficients": []})
+    assert main(["sdit-tri", inst, "--mod-p"]) == 1
+    assert main(["verify", inst, "--cert", cert]) == 1
+    out, err = capsys.readouterr()
+    assert "PASS" not in out
+    assert err.count("error: no generators to combine") == 2
 
 
 @pytest.mark.parametrize("argv", [

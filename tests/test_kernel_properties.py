@@ -1,6 +1,8 @@
 """Property tests of the shared elimination kernel, the fields' row operations
 and the subspace actions behind the Wong sequences."""
 
+import random
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -281,7 +283,7 @@ PACKED_IDS = ["gf2", "gf7", "gf101", "gf65537", "gf2^61-1"]
 class ListRows(PrimeField):
     """GF(p) on list rows only: the kernels the packed rows must agree with."""
 
-    def packs(self, n, terms, rows):
+    def packs(self, n, rows):
         return False
 
 
@@ -355,15 +357,15 @@ def test_packed_slots_at_the_bound(p):
         assert _eliminate(f, rows, reduced=reduced) == _eliminate(ListRows(p), rows,
                                                                   reduced=reduced)
     assert Mat(f, rows).rank() == n
-    assert f.packs(n, n, len(rows)) == (p == P_EDGE)
+    assert f.packs(n, len(rows)) == (p == P_EDGE)
 
 
 @pytest.mark.parametrize("f", PACKED_FIELDS, ids=PACKED_IDS)
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(data=st.data())
-def test_packed_image_and_preimage(f, data):
-    # m * dim u on both sides of fields.PACK_MIN_ROWS, m * n of PACK_MIN;
-    # the list-row space's duality formula is the reference for the preimage
+def test_image_and_preimage_on_raw_entries(f, data):
+    # entries below 0 and at or above p; the list-row space's duality
+    # formula is the reference for the preimage
     lf = ListRows(f.p)
     m = data.draw(st.integers(1, 6))
     nrows, ncols = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
@@ -371,12 +373,29 @@ def test_packed_image_and_preimage(f, data):
                                       max_size=nrows))) for _ in range(m)]
     sp = MatSpace.from_spanning(gens, f, nrows, ncols)
     lsp = MatSpace(lf, nrows, ncols, [Mat(lf, g.rows) for g in sp.gens])
-    for _ in range(2):  # the second call reuses the cached columns and stack
+    for _ in range(2):  # the second call reuses the cached stack
         u = Subspace(f, ncols, data.draw(raw_rows(f, ncols, ncols + 1)))
         assert sp.image_of(u) == Subspace(f, nrows, [g.apply(v) for g in sp.gens
                                                      for v in u.basis])
         w = Subspace(f, nrows, data.draw(raw_rows(f, nrows, nrows + 1)))
         assert sp.preimage_of(w) == lsp.transpose_space().image_of(w.orthogonal()).orthogonal()
+
+
+def test_image_of_never_packs(monkeypatch):
+    # 3 dense 6 x 6 generators times dim u from 2 to 6: 6 to 18 products of
+    # 6-entry rows, too short for the elimination to pack
+    def refuse(self, row, reduced=False):
+        raise AssertionError("image_of packed its products")
+
+    f, rng = PrimeField(101), random.Random(23)
+    monkeypatch.setattr(PrimeField, "pack", refuse)
+    for dim_u in range(2, 7):
+        gens = [Mat(f, [[rng.randrange(101) for _ in range(6)] for _ in range(6)])
+                for _ in range(3)]
+        sp = MatSpace(f, 6, 6, gens)
+        u = Subspace(f, 6, [[rng.randrange(101) for _ in range(6)] for _ in range(dim_u)])
+        assert not any(sp.factors) and sp.dim * u.dim >= 6
+        assert sp.image_of(u) == Subspace(f, 6, [g.apply(v) for g in gens for v in u.basis])
 
 
 # -- rank-one factors ----------------------------------------------------------

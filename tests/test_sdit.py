@@ -1,6 +1,7 @@
 """Triangularizable SDIT, the nilpotency test, the rational pipeline."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -10,13 +11,15 @@ from symrank import (Mat, MatSpace, PrimeField, RationalField,
                      is_triangularizable_with_nonsingular, rational_sdit,
                      tri_algo, verify_witness)
 from symrank import sdit
+from symrank.cli import main
 from symrank.errors import EmptySpace, FieldTooSmall, NotMember, NotSquare, SingularS
 from symrank.fields import distinct_elements
 from symrank.linalg import kernel
 from symrank.oracles import sk3
-from symrank.sdit import TriOutcome, _int_det, check_outcome, integer_nonsingular
+from symrank.sdit import TriOutcome, _int_det, check_outcome
 from symrank.wong import first_wong
 from conftest import GF5, GF7, rand_nonsingular, upper_triangular
+from test_acceptance import _int_matmul, _signed_permutation
 
 GF101 = PrimeField(101)
 
@@ -379,19 +382,52 @@ def test_check_outcome():
     assert check_outcome(sp, out) and not check_outcome(sp, out, c=2)
     assert not check_outcome(sp, TriOutcome("nonsingular", coefficients=[1, 1]))
     assert check_outcome(sp, TriOutcome("fail"))
-
-
-def test_integer_nonsingular():
-    mats = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
-    assert integer_nonsingular(mats, [1, 1])
-    assert not integer_nonsingular(mats, [1, 0])
-    for ints in ([1], [1, 1, 5, 7]):
-        with pytest.raises(ValueError):
-            integer_nonsingular(mats, ints)
+    # a kind it does not know claims something it cannot check
     with pytest.raises(ValueError):
-        integer_nonsingular([], [])
-    # the determinant of a non-square or ragged combination is undefined
-    for bad in ([[[1, 0, 0], [0, 1, 0]]], [[[1, 0], [0, 1], [0, 0]]],
-                [[[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]):
-        with pytest.raises(ValueError):
-            integer_nonsingular(bad, [1] * len(bad))
+        check_outcome(sp, TriOutcome("nonsingular_combination", coefficients=[1, 1]))
+
+
+def _criterion_09_spaces():
+    """The triangularizable integer spaces of acceptance criterion 9, same seed."""
+    rng = random.Random(109)
+    for _ in range(50):
+        n = rng.randint(1, 4)
+        m = rng.randint(1, 3)
+        tris = []
+        for i in range(m):
+            t = [[rng.randint(-3, 3) if j >= r else 0 for j in range(n)]
+                 for r in range(n)]
+            if i == 0:
+                for r in range(n):
+                    t[r][r] = rng.choice([-3, -2, -1, 1, 2, 3])
+            tris.append(t)
+        q = _signed_permutation(rng, n)
+        p = _signed_permutation(rng, n)
+        yield [_int_matmul(_int_matmul(q, t), p) for t in tris]
+
+
+def test_mod_p_success_needs_no_integer_check(tmp_path, monkeypatch, capsys):
+    # diag(3, 0) vanishes mod 3, so prime 3 yields a witness and prime 5 succeeds
+    corpus = [*_criterion_09_spaces(), [[[3, 0], [0, 0]], [[0, 0], [0, 1]]]]
+    reports = [rational_sdit(mats) for mats in corpus]
+    assert (reports[-1].primes_tried, reports[-1].prime_used) == ([3, 5], 5)
+    for mats, rep in zip(corpus, reports):
+        assert rep.outcome == "nonsingular_combination"
+        n = len(mats[0])
+        combo = [[sum(c * mat[i][j] for c, mat in zip(rep.integer_coefficients, mats))
+                  for j in range(n)] for i in range(n)]
+        assert _int_det(combo) % rep.prime_used != 0
+
+    def refuse(rows):
+        raise AssertionError("an exact integer determinant was computed")
+
+    monkeypatch.setattr(sdit, "_int_det", refuse)
+    assert [rational_sdit(mats) for mats in corpus] == reports
+    inst, cert = str(tmp_path / "inst.json"), str(tmp_path / "cert.json")
+    for mats in corpus:
+        with open(inst, "w") as fh:
+            json.dump({"field": {"kind": "rational"}, "n": len(mats[0]),
+                       "n_cols": len(mats[0]), "basis": mats}, fh)
+        assert main(["sdit-tri", inst, "--mod-p", "-o", cert]) == 0
+        assert main(["verify", inst, "--cert", cert]) == 0
+    assert capsys.readouterr().out.split() == ["PASS"] * len(corpus)
