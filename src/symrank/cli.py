@@ -335,8 +335,13 @@ def verify_certificate(sp: MatSpace, cert: dict) -> bool:
         coeffs = _coefficients(wf.scalar_from_json, cert)
         return check_claim(sp, space, SmrResult(status, coeffs, rank, witness, wf.spec))
 
-    if algo in ("tri_algo", "rational_sdit") and sp.nrows != sp.ncols:
-        raise NotSquare("SDIT is defined for square spaces")
+    if algo in ("tri_algo", "rational_sdit"):
+        # the solver refuses these instances, so no claim on them holds
+        if sp.nrows != sp.ncols:
+            raise NotSquare("SDIT is defined for square spaces")
+        if sp.dim == 0:
+            raise EmptySpace("empty generator list" if algo == "tri_algo"
+                             else "no generators to combine")
     if algo in ("tri_algo", "rational_sdit") or (algo, status) == ("po", "found"):
         # the other certificates are rebuilt, working field included
         if FieldSpec.from_json(cert["working_field"]) != sp.field.spec:
@@ -354,8 +359,6 @@ def verify_certificate(sp: MatSpace, cert: dict) -> bool:
     if algo == "rational_sdit":
         if status != "nonsingular_combination":
             return True
-        if sp.dim == 0:
-            raise EmptySpace("no generators to combine")
         f = sp.field  # a nonzero determinant over Z is full rank over Q
         space = MatSpace(f, sp.nrows, sp.ncols,
                          [Mat.from_ints(f, g) for g in integer_generators(sp)])

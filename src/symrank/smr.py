@@ -3,9 +3,11 @@
 From a greedy start, the driver alternates the witness test with the power
 overflow solver: either the current element is certified maximal (with a
 cork-singularity witness), or the overflow answer yields a direction whose
-admixture raises the rank, from any start.  Small finite fields run the
-loop over a deterministic extension; over the rationals coefficients are
-renormalized into {0,...,n} after every step.
+admixture raises the rank, from any start.  The loop runs over the input
+field; a field with fewer than n + 1 elements is embedded into the
+deterministic extension of at least n + 1 only when its lambda search or
+PO runs out.  Over the rationals coefficients are renormalized into
+{0,...,n} after every step.
 """
 
 from __future__ import annotations
@@ -99,21 +101,22 @@ def greedy_start(sp: MatSpace, limit: int) -> tuple:
 
 
 def smr(sp: MatSpace) -> SmrResult:
-    """Maximum-rank search: the greedy start, then augmentation until certified."""
+    """Maximum-rank search: the greedy start, then augmentation until certified.
+
+    The loop runs over sp's own field.  Only the choice of lambda needs n + 1
+    scalars, so a field with fewer that runs out (PO finds no direction, or
+    no lambda raises the rank) is embedded once into the deterministic
+    extension of at least n + 1 elements, and the loop goes on there."""
     if sp.dim == 0:
         raise EmptySpace("cannot search an empty matrix space")
-    padded = pad_square(sp)
-    n = padded.nrows
-    work = embed_space(padded, n + 1)
+    work = pad_square(sp)
+    n = work.nrows
     f = work.field
-    rational = f.cardinality() is None
-
     coeffs, a, r = greedy_start(work, min(sp.nrows, sp.ncols))
     ranks = [r]
-    # lam = 0 leaves the rank at r, so the n nonzero values of n + 1 suffice
-    lambdas = [lam for lam in distinct_elements(f, n + 1) if f.nonzero(lam)]
+    lambdas = _lambdas(f, n)
 
-    for _ in range(n + 1):
+    for _ in range(n + 2):  # n rank increases and one embedding
         report = witness_test(a, work)
         if report.exists:
             return SmrResult(certified_status(sp.field, f), coeffs, r,
@@ -122,14 +125,29 @@ def smr(sp: MatSpace) -> SmrResult:
         answer = solve_po(report.po)
         found = answer.found and raise_rank(a, work.element(answer.coefficients),
                                             lambdas, r + 1)
-        if not found:
+        if found:
+            lam, a, r = found
+            coeffs = [f.add(c, f.mul(lam, bc)) for c, bc in zip(coeffs, answer.coefficients)]
+            if f.cardinality() is None:
+                coeffs, a, r = reduce_coefficients(work, coeffs, a, r)
+            ranks.append(r)
+        elif len(lambdas) < n:  # the field has fewer than n + 1 elements
+            f, embed = ensure_size(f, n + 1)
+            work = embed_space(work, n + 1)
+            coeffs = [embed(c) for c in coeffs]
+            a = Mat(f, [[embed(e) for e in row] for row in a.rows])
+            lambdas = _lambdas(f, n)
+        else:
             return SmrResult("failed_po", coeffs, r, None, f.spec, ranks)
-        lam, a, r = found
-        coeffs = [f.add(c, f.mul(lam, bc)) for c, bc in zip(coeffs, answer.coefficients)]
-        if rational:
-            coeffs, a, r = reduce_coefficients(work, coeffs, a, r)
-        ranks.append(r)
     raise AssertionError("rank increased more than n times")  # unreachable
+
+
+def _lambdas(f: Field, n: int) -> list:
+    """The nonzero values among min(|F|, n + 1) distinct scalars: lam = 0
+    leaves the rank at r, so over n + 1 the n nonzero values suffice."""
+    card = f.cardinality()
+    return [lam for lam in distinct_elements(f, n + 1 if card is None else min(card, n + 1))
+            if f.nonzero(lam)]
 
 
 def smr_rank_only(sp: MatSpace) -> int:

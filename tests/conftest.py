@@ -63,3 +63,14 @@ GF2 = PrimeField(2)
 GF3 = PrimeField(3)
 GF5 = PrimeField(5)
 GF7 = PrimeField(7)
+
+# Two dense 4 x 4 generators over GF(2), found by a seeded search, on which
+# smr runs out of lambdas: greedy takes B_1 (rank 3) and stops, PO answers
+# B_2, and B_1 + B_2 has rank 3, the one nonzero lambda of GF(2).  Over
+# GF(8), B_1 + x B_2 has rank 4, which B_2 alone also has over GF(2).
+GF2_FALLBACK = [[[1, 0, 0, 1], [1, 0, 0, 0], [1, 0, 1, 0], [1, 0, 1, 1]],
+                [[0, 1, 1, 1], [1, 1, 0, 0], [1, 0, 0, 0], [1, 1, 0, 1]]]
+
+
+def gf2_fallback() -> MatSpace:
+    return MatSpace.from_spanning([Mat.from_ints(GF2, m) for m in GF2_FALLBACK])

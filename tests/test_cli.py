@@ -7,6 +7,8 @@ import pytest
 from symrank import oracles
 from symrank.cli import build_parser, main
 
+from conftest import GF2_FALLBACK
+
 
 def write_json(path, data):
     path.write_text(json.dumps(data))
@@ -35,6 +37,23 @@ def test_gallery_oracle_verify(tmp_path, capsys):
     assert main(["oracle", inst, "-o", cert]) == 0
     data = json.loads(open(cert).read())
     assert data["max_rank"] == 2 and data["disc"] == 0
+    assert main(["verify", inst, "--cert", cert]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("p, modulus", [(2, [1, 1, 1]), (3, [1, 0, 1])], ids=["gf2", "gf3"])
+def test_smr_sk3_small_field_certificate(tmp_path, capsys, p, modulus):
+    # PO finds nothing over GF(p), so smr goes on over GF(p^2) and ends failed_po
+    # there: the certificate is the one written when every small field was
+    # extended before the first step
+    inst, cert = str(tmp_path / "sk3.json"), str(tmp_path / "cert.json")
+    assert main(["gallery", "sk3", "--field", f"gf{p}", "-o", inst]) == 0
+    assert main(["smr", inst, "-o", cert]) == 2
+    expected = {
+        "algorithm": "smr", "coefficients": [[1, 0], [0, 0], [0, 0]], "rank": 2,
+        "status": "failed_po", "trace_summary": {"iterations": 1, "ranks_visited": [2]},
+        "working_field": {"k": 2, "kind": "extension", "modulus": modulus, "p": p}}
+    assert open(cert).read() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
     assert main(["verify", inst, "--cert", cert]) == 0
     assert "PASS" in capsys.readouterr().out
 
@@ -280,6 +299,7 @@ TAMPER_INSTANCES = {
                                     [["0", "0"], ["0", "1/2"]]]),
     "shift": ({"kind": "prime", "p": 7}, [[[0, 1], [0, 0]]]),
     "gf2_diag": ({"kind": "prime", "p": 2}, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]),
+    "gf2_fallback": ({"kind": "prime", "p": 2}, GF2_FALLBACK),
     "sk3": ({"kind": "prime", "p": 5}, [[[0, 1, 0], [4, 0, 0], [0, 0, 0]],
                                         [[0, 0, 0], [0, 0, 1], [0, 4, 0]],
                                         [[0, 0, 1], [0, 0, 0], [4, 0, 0]]]),
@@ -290,7 +310,8 @@ TAMPER_INSTANCES = {
 E1, E2 = "E1", "E2"
 TAMPER_COMMANDS = {
     "smr": ("diag", ["smr"], []),
-    "smr-extended": ("gf2_diag", ["smr"], []),   # working field GF(4)
+    "smr-gf2": ("gf2_diag", ["smr"], []),        # certified over GF(2) itself
+    "smr-extended": ("gf2_fallback", ["smr"], []),   # out of lambdas: working field GF(8)
     "smr-failed-po": ("sk3", ["smr"], []),       # no rank witness: exit 2
     "sdit-tri-nonsingular": ("upper", ["sdit-tri"], []),
     "sdit-tri-witness": ("top_row", ["sdit-tri"], []),
@@ -362,9 +383,10 @@ TAMPER_CASES = [
     _tamper("smr", _set(algorithm=["smr"]), 1, "list-algorithm"),
     _tamper("po", _whole(["po"]), 1, "list-certificate"),
     # the status must match the working field: max_rank_found claims a
-    # maximizer over the instance's own field, which a GF(4) one is not
+    # maximizer over the instance's own field, which a GF(8) one is not
     _tamper("smr-extended", _set(status="max_rank_found"), 2, "constructive-status"),
-    _tamper("smr", _set(status="non_constructive_rank"), 2, "non-constructive-status"),
+    *(_tamper(cmd, _set(status="non_constructive_rank"), 2, "non-constructive-status")
+      for cmd in ("smr", "smr-gf2")),
     # controls: verify rejected these before its fields were strict (the
     # dropped rational coefficient with a FAIL, exit 2, then)
     _tamper("smr", _bump("rank"), 2, "rank-plus-one"),
@@ -486,18 +508,24 @@ def test_verify_refuses_sdit_on_non_square(tmp_path, capsys, shape, cert):
     assert err.count("error: SDIT is defined for square spaces") == 2
 
 
-def test_verify_refuses_mod_p_claim_without_generators(tmp_path, capsys):
-    # an all-zero basis spans 0: sdit-tri --mod-p refuses it, and so does verify
+@pytest.mark.parametrize("argv, cert, message", [
+    ([], {"algorithm": "tri_algo", "status": "fail"}, "empty generator list"),
+    (["--mod-p"], {"algorithm": "rational_sdit", "status": "inconclusive"},
+     "no generators to combine"),
+    (["--mod-p"], {"algorithm": "rational_sdit", "status": "nonsingular_combination",
+                   "prime_used": 2, "coefficients": []}, "no generators to combine"),
+], ids=["tri-algo-fail", "mod-p-inconclusive", "mod-p-nonsingular-combination"])
+def test_verify_refuses_sdit_claims_without_generators(tmp_path, capsys, argv, cert, message):
+    # an all-zero basis spans 0: sdit-tri refuses it, so verify refuses every
+    # claim on it, also one of no answer
     inst = write_json(tmp_path / "zero.json", {
         "field": Q, "n": 1, "n_cols": 1, "basis": [[["0"]]]})
-    cert = write_json(tmp_path / "cert.json", {
-        "algorithm": "rational_sdit", "status": "nonsingular_combination",
-        "working_field": Q, "prime_used": 2, "coefficients": []})
-    assert main(["sdit-tri", inst, "--mod-p"]) == 1
+    cert = write_json(tmp_path / "cert.json", {**cert, "working_field": Q})
+    assert main(["sdit-tri", inst, *argv]) == 1
     assert main(["verify", inst, "--cert", cert]) == 1
     out, err = capsys.readouterr()
     assert "PASS" not in out
-    assert err.count("error: no generators to combine") == 2
+    assert err.count(f"error: {message}") == 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 """Constructive maximum-rank search and its helpers."""
 
+import importlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -14,7 +15,7 @@ from symrank.fields import FieldSpec, extension_field
 from symrank.linalg import raise_rank
 from symrank.smr import (check_claim, check_result, greedy_start, pad_square,
                          reduce_coefficients, working_space)
-from conftest import GF2, GF3, GF5, GF7, rand_nonsingular, rank_one_space
+from conftest import GF2, GF3, GF5, GF7, gf2_fallback, rand_nonsingular, rank_one_space
 
 
 def test_pad_square():
@@ -95,9 +96,75 @@ def test_smr_small_field_status():
          Mat.from_ints(GF2, [[0, 0], [0, 1]])])
     res = smr(diag)
     assert res.rank == 2
-    # the run happened over an extension, so the certificate says so
+    # the run stayed over GF(2), so the combination is a member: constructive
+    assert res.status == "max_rank_found"
+    assert res.working_field == GF2.spec
+    # a run that ran out of lambdas went on over an extension, and says so
+    res = smr(gf2_fallback())
     assert res.status == "non_constructive_rank"
     assert res.working_field.kind == "extension"
+
+
+def _witness_test_fields(monkeypatch):
+    """The list, filled as smr runs, of the field of each witness test."""
+    module = importlib.import_module("symrank.smr")
+    fields, real = [], module.witness_test
+
+    def spy(a, space):
+        fields.append(space.field.spec)
+        return real(a, space)
+    monkeypatch.setattr(module, "witness_test", spy)
+    return fields
+
+
+def test_smr_embeds_when_lambdas_run_out(monkeypatch):
+    sp = gf2_fallback()
+    fields = _witness_test_fields(monkeypatch)
+    res = smr(sp)
+    gf8 = extension_field(2, 3).spec  # the first GF(2^k) with n + 1 = 5 elements
+    assert fields == [GF2.spec, gf8, gf8]
+    assert res.status == "non_constructive_rank" and res.working_field == gf8
+    assert res.ranks_visited == [3, 4]
+    assert res.rank == brute_max_rank(sp)[0] == 4
+    assert check_result(sp, res)
+
+
+@pytest.mark.parametrize("f", [GF2, GF3], ids=["gf2", "gf3"])
+def test_smr_fallback_keeps_failed_po_on_sk3(monkeypatch, f):
+    # PO finds nothing over GF(p), nor over GF(p^2) after the one embedding
+    fields = _witness_test_fields(monkeypatch)
+    res = smr(sk3(f))
+    big = extension_field(f.spec.p, 2).spec
+    assert fields == [f.spec, big]
+    assert (res.status, res.rank, res.working_field, res.witness) == ("failed_po", 2, big, None)
+    assert check_result(sk3(f), res)
+
+
+def _crowns(f, rng):
+    """Untwisted and twisted crowns for k = 1..4, with their rank 2k."""
+    for k in (1, 2, 3, 4):
+        n = 2 * k
+        yield crown(f, k), n
+        yield crown(f, k, (_nonsingular(rng, f, n), _nonsingular(rng, f, n))), n
+
+
+def test_smr_small_fields_stay_in_the_base_field():
+    # explicitly rank-1 spaces keep their maximum rank over every field
+    # (Lovasz 1989), and the lambda search over GF(2) and GF(3) finds it
+    rng = random.Random(97)
+    cases = []
+    for f in (GF2, GF3):
+        while sum(c[0].field is f for c in cases) < 100:
+            n = rng.randint(1, 4)
+            sp = rank_one_space(rng, f, n, n, rng.randint(1, 6))
+            if sp.dim:
+                cases.append((sp, brute_max_rank(sp)[0]))
+        cases += _crowns(f, rng)
+    for sp, rank in cases:
+        res = smr(sp)
+        assert res.rank == rank
+        assert res.working_field == sp.field.spec and res.status == "max_rank_found"
+        assert check_result(sp, res)
 
 
 def test_reduce_coefficients_rational():
