@@ -5,7 +5,7 @@ deterministic byte for byte; `verify` re-checks every claim a certificate
 makes against the instance file alone.
 
 Exit codes: 0 success, 1 malformed input, 2 typed algorithmic failure
-(fail / inconclusive / failed_po, or a failed verification).
+(`failed_po`, `fail`, a `po` "no", or a failed verification).
 """
 
 from __future__ import annotations
@@ -138,10 +138,10 @@ def _write_json(data, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# certificate builders, one per instance command
 # ---------------------------------------------------------------------------
 
-FAILURES = ("failed_po", "fail", "inconclusive", "no")
+FAILURES = ("failed_po", "fail", "no")
 
 
 def _emit(cert: dict, path) -> int:
@@ -150,8 +150,7 @@ def _emit(cert: dict, path) -> int:
     return 2 if cert.get("status") in FAILURES else 0
 
 
-def cmd_smr(args) -> int:
-    sp = load_instance(args.instance)
+def smr_certificate(sp: MatSpace) -> dict:
     res = run_smr(sp)
     wf = make_field(res.working_field)
     cert = {
@@ -166,26 +165,25 @@ def cmd_smr(args) -> int:
     if res.witness is not None:
         cert["witness_basis"] = _subspace_json(res.witness)
         cert["c"] = max(sp.nrows, sp.ncols) - res.rank
-    return _emit(cert, args.output)
+    return cert
 
 
-def cmd_sdit_tri(args) -> int:
-    if args.mod_p:
-        int_mats = integer_generators(load_instance(args.instance))
-        report = sdit.rational_sdit(int_mats)
-        cert = {
-            "algorithm": "rational_sdit",
-            "status": report.outcome,
-            "working_field": {"kind": "rational"},
-            "trace_summary": {"primes_tried": report.primes_tried,
-                              "bound_used": str(report.bound_used)},
-        }
+def sdit_certificate(sp: MatSpace, mod_p: bool) -> dict:
+    """tri_algo's certificate.  With mod_p the integer pipeline runs first,
+    and its certificate is returned if a prime finds a nonsingular
+    combination; a spent prime loop decides nothing, so tri_algo decides."""
+    if mod_p:
+        report = sdit.rational_sdit(integer_generators(sp))
         if report.outcome == "nonsingular_combination":
-            cert["prime_used"] = report.prime_used
-            cert["coefficients"] = report.integer_coefficients
-        return _emit(cert, args.output)
-
-    sp = load_instance(args.instance)
+            return {
+                "algorithm": "rational_sdit",
+                "status": report.outcome,
+                "prime_used": report.prime_used,
+                "coefficients": report.integer_coefficients,
+                "working_field": {"kind": "rational"},
+                "trace_summary": {"primes_tried": report.primes_tried,
+                                  "bound_used": str(report.bound_used)},
+            }
     out = sdit.tri_algo(sp)
     f = sp.field
     cert = {
@@ -199,7 +197,7 @@ def cmd_sdit_tri(args) -> int:
     elif out.kind == "witness":
         cert["witness_basis"] = _subspace_json(out.witness)
         cert["c"] = out.witness.dim - sp.image_of(out.witness).dim
-    return _emit(cert, args.output)
+    return cert
 
 
 # deterministic commands: verify compares a certificate with what these build
@@ -261,26 +259,6 @@ def oracle_certificate(sp: MatSpace, budget: int = oracles.DEFAULT_BUDGET) -> di
     }
 
 
-def cmd_tri_test(args) -> int:
-    return _emit(tri_test_certificate(load_instance(args.instance), args.pivot), args.output)
-
-
-def cmd_wong(args) -> int:
-    sp = load_instance(args.instance)
-    return _emit(wong_certificate(sp, args.anchor, args.kind), args.output)
-
-
-def cmd_po(args) -> int:
-    sp = load_instance(args.instance)
-    u = load_subspace(args.u, sp.field)
-    u_prime = load_subspace(args.uprime, sp.field)
-    return _emit(po_certificate(sp, u, u_prime), args.output)
-
-
-def cmd_oracle(args) -> int:
-    return _emit(oracle_certificate(load_instance(args.instance), args.budget), args.output)
-
-
 def cmd_gallery(args) -> int:
     name = args.name.replace("-", "_")
     if name == "sk3":
@@ -305,7 +283,7 @@ def cmd_gallery(args) -> int:
 
 STATUSES = {"smr": ("max_rank_found", "non_constructive_rank", "failed_po"),
             "tri_algo": ("nonsingular", "witness", "fail"),
-            "rational_sdit": ("nonsingular_combination", "inconclusive"),
+            "rational_sdit": ("nonsingular_combination",),
             "po": ("found", "no"),
             "tri_test": ("triangularizable", "not_triangularizable")}
 
@@ -357,8 +335,6 @@ def verify_certificate(sp: MatSpace, cert: dict) -> bool:
         return sdit.check_outcome(sp, out, _json_int(cert.get("c", 1)))
 
     if algo == "rational_sdit":
-        if status != "nonsingular_combination":
-            return True
         f = sp.field  # a nonzero determinant over Z is full rank over Q
         space = MatSpace(f, sp.nrows, sp.ncols,
                          [Mat.from_ints(f, g) for g in integer_generators(sp)])
@@ -416,48 +392,39 @@ def build_parser() -> argparse.ArgumentParser:
                     "via generalized Wong sequences")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("smr", help="constructive maximum-rank search")
-    p.add_argument("instance")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(fn=cmd_smr)
+    def command(name, about, build):
+        """A subcommand that writes build(instance, args) to -o (default stdout)."""
+        p = sub.add_parser(name, help=about)
+        p.add_argument("instance")
+        p.add_argument("-o", "--output", default=None)
+        p.set_defaults(fn=lambda a: _emit(build(load_instance(a.instance), a), a.output))
+        return p
 
-    p = sub.add_parser("sdit-tri", help="SDIT for triangularizable spaces")
-    p.add_argument("instance")
-    p.add_argument("-o", "--output", default=None)
+    command("smr", "constructive maximum-rank search", lambda sp, a: smr_certificate(sp))
+    p = command("sdit-tri", "SDIT for triangularizable spaces",
+                lambda sp, a: sdit_certificate(sp, a.mod_p))
     p.add_argument("--mod-p", action="store_true",
-                   help="integer pipeline via reduction modulo small primes")
-    p.set_defaults(fn=cmd_sdit_tri)
-
-    p = sub.add_parser("tri-test", help="triangularizability given a nonsingular pivot")
-    p.add_argument("instance")
+                   help="over Q, first try reductions modulo small primes; "
+                        "tri_algo decides if they run out")
+    p = command("tri-test", "triangularizability given a nonsingular pivot",
+                lambda sp, a: tri_test_certificate(sp, a.pivot))
     p.add_argument("--pivot", type=int, required=True)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(fn=cmd_tri_test)
-
-    p = sub.add_parser("wong", help="dump a Wong sequence trace")
-    p.add_argument("instance")
+    p = command("wong", "dump a Wong sequence trace",
+                lambda sp, a: wong_certificate(sp, a.anchor, a.kind))
     p.add_argument("--anchor", type=int, required=True)
     p.add_argument("--kind", choices=["first", "second"], required=True)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(fn=cmd_wong)
-
-    p = sub.add_parser("po", help="power overflow solver")
-    p.add_argument("instance")
+    p = command("po", "power overflow solver", lambda sp, a: po_certificate(
+        sp, load_subspace(a.u, sp.field), load_subspace(a.uprime, sp.field)))
     p.add_argument("--u", required=True, help="subspace file for U")
     p.add_argument("--uprime", required=True, help="subspace file for U'")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(fn=cmd_po)
+    p = command("oracle", "brute-force rank and discrepancy",
+                lambda sp, a: oracle_certificate(sp, a.budget))
+    p.add_argument("--budget", type=int, default=oracles.DEFAULT_BUDGET)
 
     p = sub.add_parser("verify", help="re-check a certificate against its instance")
     p.add_argument("instance")
     p.add_argument("--cert", required=True)
     p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("oracle", help="brute-force rank and discrepancy")
-    p.add_argument("instance")
-    p.add_argument("--budget", type=int, default=oracles.DEFAULT_BUDGET)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("gallery", help="write a constructed example instance")
     p.add_argument("name", help="sk3 | yz_lift | yz_lift_shifted | strict_upper_embed")

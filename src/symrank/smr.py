@@ -151,7 +151,8 @@ def _lambdas(f: Field, n: int) -> list:
 
 
 def smr_rank_only(sp: MatSpace) -> int:
-    """The maximum rank, valid over the base field regardless of its size."""
+    """The maximum rank over smr's working field: the base field's own
+    maximum when sp is spanned by rank-one matrices, whatever its size."""
     if sp.dim == 0:
         return 0
     return smr(sp).rank
@@ -166,9 +167,14 @@ def working_space(sp: MatSpace, spec: FieldSpec) -> MatSpace:
 
 
 def certified_status(base: Field, working: Field) -> str:
-    """The status of a certified rank: a combination over an extension of the
-    base field proves the rank over the base field but is not an element of
-    the space, so only one over the base field itself is constructive."""
+    """The status of a certified rank, the maximum over the working field.
+
+    Over an extension that is the base field's maximum only when the space
+    is spanned by rank-one matrices (the paper's promise); outside it the
+    rank can exceed every base-field combination.  The combination is not
+    an element of the space, so only one over the base field itself is
+    constructive; non_constructive_rank does not mean that no base-field
+    element reaches the rank."""
     return "max_rank_found" if working.spec == base.spec else "non_constructive_rank"
 
 

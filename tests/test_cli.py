@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from symrank import oracles
+from symrank import cli, oracles
 from symrank.cli import build_parser, main
 
 from conftest import GF2_FALLBACK
@@ -97,12 +97,26 @@ def test_sdit_mod_p(tmp_path, upper_instance):
     assert main(["verify", upper_instance, "--cert", cert]) == 0
 
 
-def test_sdit_mod_p_inconclusive_exit_code(tmp_path):
+def test_sdit_mod_p_falls_back_to_tri_algo(tmp_path, capsys):
+    # <E11, 2 E11 + E21> is singular, so every prime fails and tri_algo
+    # decides over Q: the certificate is the one sdit-tri writes without --mod-p
     inst = write_json(tmp_path / "sing.json", {
         "field": {"kind": "rational"}, "n": 2, "n_cols": 2,
         "basis": [[["1", "0"], ["0", "0"]], [["2", "0"], ["1", "0"]]]})
-    assert main(["sdit-tri", inst, "--mod-p",
-                 "-o", str(tmp_path / "out.json")]) == 2
+    plain, mod_p = str(tmp_path / "plain.json"), str(tmp_path / "mod_p.json")
+    assert main(["sdit-tri", inst, "-o", plain]) == 0
+    assert main(["sdit-tri", inst, "--mod-p", "-o", mod_p]) == 0
+    assert open(mod_p).read() == open(plain).read()
+    data = json.loads(open(mod_p).read())
+    assert (data["algorithm"], data["status"]) == ("tri_algo", "witness")
+    assert main(["verify", inst, "--cert", mod_p]) == 0
+    assert capsys.readouterr().out == "PASS\n"
+    # sk3 is not triangularizable: outside the promise tri_algo fails
+    sk3, cert = str(tmp_path / "sk3.json"), str(tmp_path / "sk3_cert.json")
+    assert main(["gallery", "sk3", "--field", "rational", "-o", sk3]) == 0
+    assert main(["sdit-tri", sk3, "--mod-p", "-o", cert]) == 2
+    data = json.loads(open(cert).read())
+    assert (data["algorithm"], data["status"]) == ("tri_algo", "fail")
 
 
 def test_sdit_mod_p_dependent_generator(tmp_path, capsys):
@@ -297,6 +311,8 @@ TAMPER_INSTANCES = {
     "top_row": ({"kind": "prime", "p": 7}, [[[1, 0], [0, 0]], [[0, 1], [0, 0]]]),
     "half": ({"kind": "rational"}, [[["1/2", "0"], ["0", "0"]],
                                     [["0", "0"], ["0", "1/2"]]]),
+    "q_singular": ({"kind": "rational"}, [[["1", "0"], ["0", "0"]],
+                                          [["2", "0"], ["1", "0"]]]),
     "shift": ({"kind": "prime", "p": 7}, [[[0, 1], [0, 0]]]),
     "gf2_diag": ({"kind": "prime", "p": 2}, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]),
     "gf2_fallback": ({"kind": "prime", "p": 2}, GF2_FALLBACK),
@@ -316,6 +332,7 @@ TAMPER_COMMANDS = {
     "sdit-tri-nonsingular": ("upper", ["sdit-tri"], []),
     "sdit-tri-witness": ("top_row", ["sdit-tri"], []),
     "sdit-tri-mod-p": ("half", ["sdit-tri"], ["--mod-p"]),
+    "sdit-tri-mod-p-spent": ("q_singular", ["sdit-tri"], ["--mod-p"]),  # tri_algo witness
     "po": ("shift", ["po"], ["--u", E2, "--uprime", E2]),
     "po-no": ("shift", ["po"], ["--u", E1, "--uprime", E1]),   # D e1 = 0: exit 2
     "wong": ("diag", ["wong"], ["--anchor", "1", "--kind", "second"]),
@@ -418,6 +435,13 @@ TAMPER_CASES = [
 ]
 
 
+def _options(tmp_path, tail):
+    """tail with E1 and E2 replaced by paths of subspace files."""
+    units = {E1: write_json(tmp_path / "e1.json", {"ambient_dim": 2, "basis": [[1, 0]]}),
+             E2: write_json(tmp_path / "e2.json", {"ambient_dim": 2, "basis": [[0, 1]]})}
+    return [units.get(a, a) for a in tail]
+
+
 def _emit(tmp_path, command):
     """Run one certificate-producing command; (instance path, cert path)."""
     name, head, tail = TAMPER_COMMANDS[command]
@@ -425,10 +449,8 @@ def _emit(tmp_path, command):
     n = len(basis[0])
     inst = write_json(tmp_path / "inst.json", {
         "field": field, "n": n, "n_cols": n, "basis": basis})
-    units = {E1: write_json(tmp_path / "e1.json", {"ambient_dim": 2, "basis": [[1, 0]]}),
-             E2: write_json(tmp_path / "e2.json", {"ambient_dim": 2, "basis": [[0, 1]]})}
     cert = str(tmp_path / "cert.json")
-    argv = head + [inst] + [units.get(a, a) for a in tail] + ["-o", cert]
+    argv = head + [inst] + _options(tmp_path, tail) + ["-o", cert]
     assert main(argv) == EMIT_CODES.get(command, 0)
     return inst, cert
 
@@ -438,6 +460,26 @@ def test_emitted_certificates_pass(tmp_path, capsys, command):
     inst, cert = _emit(tmp_path, command)
     assert main(["verify", inst, "--cert", cert]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+# subcommand -> its certificate builder, given the instance and the options after it
+BUILDERS = {
+    "smr": lambda sp, opts: cli.smr_certificate(sp),
+    "sdit-tri": lambda sp, opts: cli.sdit_certificate(sp, "--mod-p" in opts),
+    "tri-test": lambda sp, opts: cli.tri_test_certificate(sp, int(opts[1])),
+    "wong": lambda sp, opts: cli.wong_certificate(sp, int(opts[1]), opts[3]),
+    "po": lambda sp, opts: cli.po_certificate(
+        sp, cli.load_subspace(opts[1], sp.field), cli.load_subspace(opts[3], sp.field)),
+    "oracle": lambda sp, opts: cli.oracle_certificate(sp),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TAMPER_COMMANDS))
+def test_command_writes_its_builders_certificate(tmp_path, command):
+    inst, cert = _emit(tmp_path, command)
+    _, (sub,), tail = TAMPER_COMMANDS[command]
+    built = BUILDERS[sub](cli.load_instance(inst), _options(tmp_path, tail))
+    assert open(cert).read() == json.dumps(built, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("command, mutate, code", TAMPER_CASES)
@@ -493,11 +535,9 @@ NON_SQUARE = {
     # the leading 2 x 2 block of B_0 is I
     ("2x3", {"algorithm": "rational_sdit", "status": "nonsingular_combination",
              "working_field": Q, "prime_used": 5, "coefficients": [1, 0]}),
-    ("2x3", {"algorithm": "rational_sdit", "status": "inconclusive", "working_field": Q}),
     ("3x2", {"algorithm": "rational_sdit", "status": "nonsingular_combination",
              "working_field": Q, "prime_used": 5, "coefficients": [1, 0]}),
-], ids=["tri-nonsingular", "tri-witness", "modp-nonsingular", "modp-inconclusive",
-        "modp-nonsingular-3x2"])
+], ids=["tri-nonsingular", "tri-witness", "modp-nonsingular", "modp-nonsingular-3x2"])
 def test_verify_refuses_sdit_on_non_square(tmp_path, capsys, shape, cert):
     # sdit-tri refuses these instances, so verify must not accept a claim on them
     inst = write_json(tmp_path / "inst.json", NON_SQUARE[shape])
@@ -510,11 +550,9 @@ def test_verify_refuses_sdit_on_non_square(tmp_path, capsys, shape, cert):
 
 @pytest.mark.parametrize("argv, cert, message", [
     ([], {"algorithm": "tri_algo", "status": "fail"}, "empty generator list"),
-    (["--mod-p"], {"algorithm": "rational_sdit", "status": "inconclusive"},
-     "no generators to combine"),
     (["--mod-p"], {"algorithm": "rational_sdit", "status": "nonsingular_combination",
                    "prime_used": 2, "coefficients": []}, "no generators to combine"),
-], ids=["tri-algo-fail", "mod-p-inconclusive", "mod-p-nonsingular-combination"])
+], ids=["tri-algo-fail", "mod-p-nonsingular-combination"])
 def test_verify_refuses_sdit_claims_without_generators(tmp_path, capsys, argv, cert, message):
     # an all-zero basis spans 0: sdit-tri refuses it, so verify refuses every
     # claim on it, also one of no answer
@@ -526,6 +564,22 @@ def test_verify_refuses_sdit_claims_without_generators(tmp_path, capsys, argv, c
     out, err = capsys.readouterr()
     assert "PASS" not in out
     assert err.count(f"error: {message}") == 2
+
+
+@pytest.mark.parametrize("instance", [
+    {"field": Q, "n": 2, "n_cols": 2, "basis": TAMPER_INSTANCES["q_singular"][1]},
+    NON_SQUARE["2x3"],
+    {"field": Q, "n": 1, "n_cols": 1, "basis": [[["0"]]]},
+], ids=["square", "non-square", "no-generators"])
+def test_verify_refuses_rational_sdit_inconclusive(tmp_path, capsys, instance):
+    # a spent prime loop hands over to tri_algo, so no certificate says inconclusive
+    inst = write_json(tmp_path / "inst.json", instance)
+    cert = write_json(tmp_path / "cert.json", {
+        "algorithm": "rational_sdit", "status": "inconclusive", "working_field": Q})
+    assert main(["verify", inst, "--cert", cert]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: rational_sdit certificate has unknown status 'inconclusive'\n"
 
 
 @pytest.mark.parametrize("argv", [

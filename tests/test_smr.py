@@ -129,6 +129,21 @@ def test_smr_embeds_when_lambdas_run_out(monkeypatch):
     assert check_result(sp, res)
 
 
+def test_non_constructive_rank_is_the_working_field_maximum():
+    # outside the rank-one promise the extension's maximum can exceed the base
+    # field's: rank 3 over GF(4), certified and verified, while every GF(2)
+    # combination has rank at most 2
+    sp = MatSpace.from_spanning([Mat.from_ints(GF2, m) for m in (
+        [[1, 1, 1], [0, 0, 0], [1, 0, 1]], [[1, 0, 0], [1, 1, 0], [0, 0, 0]])])
+    assert sp.factors == [None, None]
+    res = smr(sp)
+    gf4 = extension_field(2, 2).spec
+    assert (res.status, res.rank, res.working_field) == ("non_constructive_rank", 3, gf4)
+    assert check_result(sp, res)
+    assert brute_max_rank(sp)[0] == 2
+    assert brute_max_rank(working_space(sp, gf4))[0] == smr_rank_only(sp) == 3
+
+
 @pytest.mark.parametrize("f", [GF2, GF3], ids=["gf2", "gf3"])
 def test_smr_fallback_keeps_failed_po_on_sk3(monkeypatch, f):
     # PO finds nothing over GF(p), nor over GF(p^2) after the one embedding
