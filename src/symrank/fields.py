@@ -1,8 +1,8 @@
 """Exact coefficient arithmetic: GF(p), GF(p^k) and big rationals.
 
 Scalars are plain Python values owned by a field handle: ints in [0, p) for
-prime fields, coefficient tuples (constant term first) for extension fields,
-and ``fractions.Fraction`` for the rationals.  All arithmetic goes through
+GF(p), coefficient tuples (constant term first) for GF(p^k), and for Q ints
+while integral, ``fractions.Fraction`` otherwise.  All arithmetic goes through
 the field handle; matrices carry the handle and refuse to mix fields.
 """
 
@@ -247,6 +247,10 @@ class Field:
     def packs(self, n: int, rows: int) -> bool:
         """Whether a batch of `rows` rows of n entries is eliminated packed."""
         return False
+
+    # over Q, integer_row(v) gives (m v, m) with m v integral, and
+    # linalg._eliminate holds each row as an integer multiple; None elsewhere
+    integer_row = None
 
     def row_from_json(self, row) -> list:
         return [self.scalar_from_json(v) for v in row]
@@ -517,21 +521,26 @@ class ExtensionField(Field):
         return self._pad(tuple(_json_int(c) % self.p for c in v))
 
 
+def ratio(n: int, d: int):
+    """n / d for ints n and d != 0: an int when d divides n, else a Fraction."""
+    return n // d if n % d == 0 else Fraction(n, d)
+
+
 class RationalField(Field):
     def __init__(self):
         self.spec = FieldSpec("rational")
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.zero = 0
+        self.one = 1
         self.nonzero = bool
 
     def add(self, a, b):
-        return a + b
+        return ratio(*(a + b).as_integer_ratio())
 
     def sub(self, a, b):
-        return a - b
+        return ratio(*(a - b).as_integer_ratio())
 
     def mul(self, a, b):
-        return a * b
+        return ratio(a.numerator * b.numerator, a.denominator * b.denominator)
 
     def neg(self, a):
         return -a
@@ -539,33 +548,31 @@ class RationalField(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return ratio(a.denominator, a.numerator)  # never 1 / a, a float for an int a
 
     def from_int(self, i: int):
-        return Fraction(i)
+        return i
 
-    # integer numerators and denominators, one Fraction built per entry or
-    # per sum; zero terms skipped
+    def integer_row(self, v) -> tuple[list, int]:
+        """(m v, m), m the LCM of the denominators of v's entries."""
+        if {*map(type, v)} <= {int}:
+            return v, 1
+        m = math.lcm(*[a.denominator for a in v])
+        return [a.numerator * (m // a.denominator) for a in v], m
+
+    # integer numerators and denominators, one ratio built per entry or per
+    # sum; zero terms skipped
 
     def axpy_row(self, c, x, y) -> list:
         if not c:
             return list(y)
         cn, cd = c.numerator, c.denominator
-        out = []
-        for a, b in zip(x, y):
-            n = cn * a.numerator
-            if not n:
-                out.append(b)
-                continue
-            d, bd = cd * a.denominator, b.denominator
-            if d == bd:
-                out.append(Fraction(b.numerator - n, d))
-            else:
-                out.append(Fraction(b.numerator * d - n * bd, bd * d))
-        return out
+        return [ratio(b.numerator * cd * a.denominator - cn * a.numerator * b.denominator,
+                      b.denominator * cd * a.denominator) if a else b for a, b in zip(x, y)]
 
     def scale_row(self, c, x) -> list:
-        return [c * a if a else a for a in x]
+        cn, cd = c.numerator, c.denominator
+        return [ratio(cn * a.numerator, cd * a.denominator) if a else a for a in x]
 
     def dot(self, x, y):
         num, den = 0, 1
@@ -578,7 +585,7 @@ class RationalField(Field):
                 else:
                     g = math.gcd(den, d)
                     num, den = num * (d // g) + n * (den // g), den // g * d
-        return Fraction(num, den)
+        return ratio(num, den)
 
     def elements(self):
         raise FieldTooSmall("cannot enumerate an infinite field")
@@ -588,12 +595,12 @@ class RationalField(Field):
 
     def scalar_from_json(self, v):
         if not isinstance(v, str):
-            return Fraction(_json_int(v))
+            return _json_int(v)
         m = _RATIONAL.fullmatch(v)
         den = int(m[2] or 1) if m else 0
         if den == 0:
             raise ValueError(f"malformed rational scalar {v!r}")
-        return Fraction(int(m[1]), den)
+        return ratio(int(m[1]), den)
 
 
 @functools.cache
@@ -656,5 +663,5 @@ def distinct_elements(field: Field, t: int) -> list:
     if card is not None and card < t:
         raise FieldTooSmall(f"need {t} elements, field has {card}")
     if card is None:
-        return [Fraction(i) for i in range(t)]
+        return list(range(t))
     return list(itertools.islice(field.elements(), t))

@@ -8,9 +8,10 @@ syntactic check and every downstream algorithm is deterministic.
 from __future__ import annotations
 
 from itertools import compress, count
+from math import gcd
 
 from .errors import DimMismatch, NotSquare
-from .fields import Field
+from .fields import Field, ratio
 
 
 class Mat:
@@ -152,8 +153,11 @@ def _eliminate(f: Field, rows, basis=(), pivots=(), reduced=True):
     Over GF(p), long rows in large batches are packed (PrimeField.pack): a row
     is updated Y + (-c) X, c read off Y and X an echelon row below p, at most
     n - 1 times, so its slots stay below n p^2.  When reduced, the echelon is
-    cleared at return, last row first, by the finished rows after it.
+    cleared at return, last row first, by the finished rows after it.  Over Q
+    the rows are eliminated as integer multiples (_eliminate_fraction_free).
     """
+    if f.integer_row:
+        return _eliminate_fraction_free(f, rows, basis, pivots, reduced)
     n = len(rows[0]) if rows else 0
     packs = f.packs(n, len(rows))
     basis, pivots, leads = list(basis), list(pivots), []
@@ -193,6 +197,42 @@ def _eliminate(f: Field, rows, basis=(), pivots=(), reduced=True):
                 basis[k] = f.combine([1] + cs, packed[k:], n)
                 packed[k] = f.pack(basis[k], reduced=True)
     return basis, pivots, leads
+
+
+def _clear(x, row, piv) -> tuple[list, int, int]:
+    """(y / g, row[piv], g): y = row[piv] x - x[piv] row is zero at piv, g its gcd."""
+    t, c = row[piv], x[piv]
+    y = [t * a - c * b for a, b in zip(x, row)]
+    g = gcd(*y) or 1  # 1 for a zero y
+    return ([a // g for a in y] if g > 1 else y), t, g
+
+
+def _eliminate_fraction_free(f: Field, rows, basis, pivots, reduced):
+    """_eliminate over Q on integer rows, each a nonzero multiple of the row the
+    Fraction loop holds: x = (num / den) v for a row v, and x = x[p] v for an
+    echelon row with pivot p, converted on first use.  Zero tests and pivots
+    match it; the lead is x[col] den / num, and a new or changed row is x / x[p]."""
+    basis, pivots, leads = list(basis), list(pivots), []
+    ints = [None] * len(basis)  # integer forms; basis[k] is None once changed
+    for v in rows:
+        (x, num), den = f.integer_row(v), 1
+        for k, piv in enumerate(pivots):
+            if x[piv]:
+                row = ints[k] = ints[k] or f.integer_row(basis[k])[0]
+                x, t, g = _clear(x, row, piv)
+                num, den = num * t, den * g
+        col = next(compress(count(), x), None)
+        leads.append(None if col is None else ratio(x[col] * den, num))
+        if col is None:
+            continue
+        for k, b in enumerate(basis if reduced else ()):
+            if (ints[k] or b)[col]:
+                ints[k], basis[k] = _clear(ints[k] or f.integer_row(b)[0], x, col)[0], None
+        ints.append(x)
+        basis.append(None)
+        pivots.append(col)
+    return ([b or [ratio(a, x[p]) for a in x] for b, x, p in zip(basis, ints, pivots)],
+            pivots, leads)
 
 
 def _rref_rows(f: Field, rows, basis=(), pivots=()):

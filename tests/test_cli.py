@@ -641,3 +641,46 @@ def test_smr_over_mersenne_prime(tmp_path, capsys):
     assert json.loads(open(cert).read())["rank"] == 2
     assert main(["verify", inst, "--cert", cert]) == 0
     assert capsys.readouterr().out.strip() == "PASS"
+
+
+# Six rank-one generators over Q, each with one nonzero column (its index, then its
+# entries top to bottom): crown units scaled by 1/2, -3/4 and 5/3, times a left
+# factor whose last row is 1/2, -3/4 and 5/3 times its first three, so every member
+# is singular. smr needs PO once and certifies rank 3 with a witness.
+Q_COLUMNS = [(0, ["1/4", "1/2", "0", "-1/4"]), (0, ["-3/4", "0", "0", "-3/8"]),
+             (1, ["5/6", "5/3", "0", "-5/6"]), (2, ["0", "0", "-5/4", "-25/12"]),
+             (2, ["0", "-5/4", "5/3", "535/144"]), (3, ["0", "0", "5/6", "25/18"])]
+Q_FRACTIONS = {"field": {"kind": "rational"}, "n": 4, "n_cols": 4,
+               "basis": [[[col[i] if j == c else "0" for j in range(4)] for i in range(4)]
+                         for c, col in Q_COLUMNS]}
+# the upper triangular instance over Z of the sdit-tri CI step
+TRI_Z = {"field": {"kind": "rational"}, "n": 3, "n_cols": 3,
+         "basis": [[[1, 2, 0], [0, 0, 3], [0, 0, 1]], [[0, 1, 1], [0, 2, 0], [0, 0, 0]],
+                   [[0, 0, 5], [0, 0, 1], [0, 0, 2]]]}
+Q = {"kind": "rational"}
+Q_CERTIFICATES = [
+    (Q_FRACTIONS, ["smr"], {
+        "algorithm": "smr", "c": 1, "coefficients": ["0/1", "1/1", "1/1", "1/1", "0/1", "0/1"],
+        "rank": 3, "status": "max_rank_found",
+        "trace_summary": {"iterations": 2, "ranks_visited": [2, 3]},
+        "witness_basis": [[f"{int(i == j)}/1" for j in range(4)] for i in range(4)],
+        "working_field": Q}),
+    (TRI_Z, ["sdit-tri", "--mod-p"], {
+        "algorithm": "rational_sdit", "coefficients": [1, 1, 0], "prime_used": 5,
+        "status": "nonsingular_combination",
+        "trace_summary": {"bound_used": "1296000", "primes_tried": [5]}, "working_field": Q}),
+    (TRI_Z, ["sdit-tri"], {
+        "algorithm": "tri_algo", "coefficients": ["1/1", "1/1", "0/1"], "status": "nonsingular",
+        "trace_summary": {"generators": 3}, "working_field": Q}),
+]
+
+
+@pytest.mark.parametrize("instance, command, expected", Q_CERTIFICATES,
+                         ids=["smr-fractions", "sdit-tri-mod-p", "sdit-tri"])
+def test_rational_certificate_bytes(tmp_path, capsys, instance, command, expected):
+    # Q scalars are ints while integral; certificates still write every one as "n/d"
+    inst, cert = write_json(tmp_path / "q.json", instance), str(tmp_path / "cert.json")
+    assert main([command[0], inst, *command[1:], "-o", cert]) == 0
+    assert open(cert).read() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    assert main(["verify", inst, "--cert", cert]) == 0
+    assert capsys.readouterr().out == "PASS\n"

@@ -57,6 +57,30 @@ def test_rational_field():
     assert f.from_int(5) == Fraction(5)
 
 
+def exact(a, b) -> bool:
+    """a == b, both of one type."""
+    return type(a) is type(b) and a == b
+
+
+def test_rational_scalars_are_ints_while_integral():
+    f = RationalField()
+    assert exact(f.inv(2), Fraction(1, 2))
+    assert f.inv(-1) == -1
+    assert exact(f.scalar_from_json("4/2"), 2)
+    assert exact(f.scalar_from_json("-6/4"), Fraction(-3, 2))
+    assert exact(f.scalar_from_json(-5), -5)
+    assert all(type(a) is int for a in (f.zero, f.one, f.from_int(7)))
+    assert all(type(a) is int for a in distinct_elements(f, 3))
+    # 1/2 * 4 + 3 * 1/3 and 3 * 1/2 - 1/2 * 1: integral results are ints
+    assert exact(f.dot([Fraction(1, 2), 3], [4, Fraction(1, 3)]), 3)
+    assert exact(f.dot([Fraction(3, 2), 1], [1, Fraction(-1, 2)]), 1)
+    row = f.axpy_row(Fraction(1, 2), [2, Fraction(2, 3), 4], [5, Fraction(1, 3), Fraction(1, 2)])
+    assert row == [4, 0, Fraction(-3, 2)] and [type(a) for a in row] == [int, int, Fraction]
+    # a certificate writes 3 as "3/1" whether it is held as an int or a Fraction
+    assert f.scalar_to_json(3) == f.scalar_to_json(Fraction(3)) == "3/1"
+    assert f.scalar_to_json(Fraction(-3, 2)) == "-3/2"
+
+
 def test_make_field_round_trip():
     for spec in (FieldSpec("prime", p=11),
                  FieldSpec("extension", p=2, k=3, modulus=(1, 1, 0, 1)),

@@ -1,7 +1,10 @@
 """Property tests of the shared elimination kernel, the fields' row operations
 and the subspace actions behind the Wong sequences."""
 
+import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from symrank import (Mat, MatSpace, PrimeField, RationalField, Subspace,
                      first_wong, image, kernel, pseudo_inverse, rref, second_wong)
 from symrank.fields import PACK_MIN, PACK_MIN_ROWS, ExtensionField, Field, _find_irreducible
-from symrank.linalg import _eliminate
+from symrank.linalg import _eliminate, _rref_rows
 from symrank.wong import _second_wong
 
 FIELDS = [PrimeField(2), PrimeField(7), PrimeField(101),
@@ -467,3 +470,115 @@ def test_factored_image_and_preimage(f, data):
         mp.setattr(Mat, "apply", _refuse_apply)
         assert ones.image_of(u) == image
         assert [ones.apply_each(v) for v in u.basis] == moved
+
+
+# -- the fraction-free kernel over Q against plain Fraction elimination ---------
+
+def fraction_eliminate(rows, basis=(), pivots=()):
+    """Rows added in order to an echelon (rows with a one at their pivots),
+    each cleared at its pivots and scaled to a leading one: (basis, pivots, leads)."""
+    basis, pivots, leads = [list(map(Fraction, r)) for r in basis], list(pivots), []
+    for v in rows:
+        v = list(map(Fraction, v))
+        for p, r in zip(pivots, basis):
+            v = [a - v[p] * b for a, b in zip(v, r)]
+        col = next((j for j, a in enumerate(v) if a), None)
+        leads.append(None if col is None else v[col])
+        if col is not None:
+            basis.append([a / v[col] for a in v])
+            pivots.append(col)
+    return basis, pivots, leads
+
+
+def fraction_rref(rows, n):
+    """(basis, pivots) of the RREF, column by column."""
+    rows, basis, pivots = [list(map(Fraction, r)) for r in rows], [], []
+    for col in range(n):
+        k = next((i for i, r in enumerate(rows) if r[col]), None)
+        if k is not None:
+            r = rows.pop(k)
+            r = [a / r[col] for a in r]
+            rows, basis = ([[a - s[col] * b for a, b in zip(s, r)] for s in rs]
+                           for rs in (rows, basis))
+            basis.append(r)
+            pivots.append(col)
+    return basis, pivots
+
+
+def leibniz_det(rows):
+    n = len(rows)
+    return sum((-1) ** sum(s[i] > s[j] for i in range(n) for j in range(i + 1, n))
+               * math.prod(Fraction(rows[i][s[i]]) for i in range(n))
+               for s in itertools.permutations(range(n)))
+
+
+def q_entries():
+    # zeros often; denominators 1-7 and numerators up to 10^20, some of them
+    # integral Fractions
+    big = st.integers(-10 ** 20, 10 ** 20)
+    return st.one_of(st.just(0), big, st.builds(Fraction, big, st.integers(1, 7)))
+
+
+@st.composite
+def q_rows(draw, nrows, n):
+    """Rows of n rationals, with zero rows and repeated rows put in."""
+    rows = draw(st.lists(st.lists(q_entries(), min_size=n, max_size=n), max_size=nrows))
+    for _ in range(draw(st.integers(0, 2))):
+        extra = draw(st.sampled_from(rows)) if rows and draw(st.booleans()) else [0] * n
+        rows.insert(draw(st.integers(0, len(rows))), list(extra))
+    return rows
+
+
+def scalar_types(*groups):
+    """The types of every scalar in lists, rows of lists, or Mats."""
+    out = set()
+    for g in groups:
+        for r in getattr(g, "rows", g):
+            out |= set(map(type, r)) if isinstance(r, list) else {type(r)}
+    return out - {type(None)}
+
+
+@PROPERTY
+@given(st.data())
+def test_rational_kernel_matches_fraction_elimination(data):
+    f = RationalField()
+    n = data.draw(st.integers(1, 5))
+    rows = data.draw(q_rows(5, n))
+    basis, pivots = fraction_rref(rows, n)
+    got = _rref_rows(f, rows)
+    assert got == (basis, pivots)
+    m = Mat(f, rows, n)
+    assert m.rank() == len(pivots)
+    free = [j for j in range(n) if j not in pivots]
+    null = [[int(i == j) for i in range(n)] for j in free]
+    for v, j in zip(null, free):
+        for r, p in zip(basis, pivots):
+            v[p] = -r[j]
+    ker = kernel(m)
+    assert ker.basis == fraction_rref(null, n)[0]
+    # onto a passed-in echelon, unreduced: basis, pivots and exact leads
+    given_rows = data.draw(q_rows(3, n))
+    echelon = _eliminate(f, given_rows, reduced=False)
+    assert echelon == fraction_eliminate(given_rows)
+    onto = _eliminate(f, rows, *echelon[:2], reduced=False)
+    assert onto == fraction_eliminate(rows, *echelon[:2])
+    merged = _rref_rows(f, rows, *_rref_rows(f, given_rows))
+    assert merged == fraction_rref(given_rows + rows, n)
+    sub = Subspace(f, n, given_rows)
+    for v in rows + data.draw(q_rows(2, n)):
+        inside = len(fraction_rref(given_rows + [v], n)[1]) == sub.dim
+        assert sub.contains_vector(v) == inside
+    k = data.draw(st.integers(1, 4))
+    sq = Mat(f, (data.draw(q_rows(k, k)) + [[0] * k] * k)[:k], k)  # zero rows make it square
+    det = sq.det()
+    assert det == leibniz_det(sq.rows)
+    if det:
+        inv = sq.inverse()
+        aug = [r + [int(i == j) for j in range(k)] for i, r in enumerate(sq.rows)]
+        assert inv.rows == [r[k:] for r in fraction_rref(aug, 2 * k)[0]]
+    else:
+        inv = Mat(f, [], k)
+        with pytest.raises(ZeroDivisionError):
+            sq.inverse()
+    assert scalar_types(got[0], ker.basis, echelon[0], echelon[2], onto[0], onto[2],
+                        merged[0], sub.basis, [det], inv) <= {int, Fraction}
