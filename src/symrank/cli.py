@@ -13,13 +13,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
+from itertools import chain
 
 from . import oracles, sdit
 from .smr import SmrResult, check_claim, pad_square, working_space
 from .smr import smr as run_smr
-from .errors import EmptySpace, NotSquare, SymrankError
+from .errors import DimMismatch, EmptySpace, NotSquare, SymrankError
 from .fields import FieldSpec, _json_int, _json_typed, extension_field, make_field
 from .linalg import Mat, Subspace
 from .po import PoInstance, _power_escapes, solve_po
@@ -52,13 +52,17 @@ def load_instance(path: str) -> MatSpace:
     n_cols = _json_int(data.get("n_cols", n))
     if n < 0 or n_cols < 0:
         raise ValueError(f"negative matrix size {n} x {n_cols}")
-    gens = []
+    gens, flats = [], []
     for mat in _json_typed(data["basis"], list, "a basis"):
-        m = Mat(field, _scalar_rows(field, mat, "a basis matrix"))
-        if m.nrows != n or m.ncols != n_cols:
+        rows = [_json_typed(row, list, "a basis matrix")
+                for row in _json_typed(mat, list, "a basis matrix")]
+        flats.append(field.row_from_json(list(chain.from_iterable(rows))))
+        if len({*map(len, rows)}) > 1:
+            raise DimMismatch("ragged rows")
+        if len(rows) != n or rows and len(rows[0]) != n_cols:
             raise ValueError("basis matrix has wrong shape")
-        gens.append(m)
-    return MatSpace.from_spanning(gens, field, n, n_cols)
+        gens.append(Mat.from_flat(field, flats[-1], n, n_cols))
+    return MatSpace.from_spanning(gens, field, n, n_cols, flats)
 
 
 def integer_generators(sp: MatSpace) -> list[list[list[int]]]:
@@ -69,11 +73,9 @@ def integer_generators(sp: MatSpace) -> list[list[list[int]]]:
     """
     if sp.field.spec.kind != "rational":
         raise ValueError("the integer pipeline needs an instance over the rationals")
-    out = []
-    for g in sp.gens:
-        scale = math.lcm(*(e.denominator for row in g.rows for e in row))
-        out.append([[int(e * scale) for e in row] for row in g.rows])
-    return out
+    f = sp.field
+    return [Mat.from_flat(f, f.integer_row(g.entry_list())[0], sp.nrows, sp.ncols).rows
+            for g in sp.gens]
 
 
 def save_instance(sp: MatSpace, path: str) -> None:
@@ -94,14 +96,10 @@ def load_subspace(path: str, field) -> Subspace:
     return _subspace_from_json(field, _json_int(data["ambient_dim"]), data["basis"])
 
 
-def _scalar_rows(field, rows, what: str) -> list[list]:
-    """A JSON array of arrays of scalars, parsed over field."""
-    return [field.row_from_json(_json_typed(row, list, what))
-            for row in _json_typed(rows, list, what)]
-
-
 def _subspace_from_json(field, ambient_dim: int, rows) -> Subspace:
-    return Subspace(field, ambient_dim, _scalar_rows(field, rows, "a subspace basis"))
+    what = "a subspace basis"
+    return Subspace(field, ambient_dim, [field.row_from_json(_json_typed(row, list, what))
+                                         for row in _json_typed(rows, list, what)])
 
 
 def _coefficients(parse, cert) -> list:

@@ -28,8 +28,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
+@functools.cache
 def _is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin; SymrankError for p >= _MR_BOUND, never a guess."""
+    """Deterministic Miller-Rabin, memoised; SymrankError for p >= _MR_BOUND, never a guess."""
     if p < 2 or any(p % b == 0 for b in _MR_BASES):
         return p in _MR_BASES
     if p >= _MR_BOUND:
@@ -253,6 +254,8 @@ class Field:
     integer_row = None
 
     def row_from_json(self, row) -> list:
+        if set(map(type, row)) <= {int}:  # no entry to refuse
+            return list(map(self.from_int, row))
         return [self.scalar_from_json(v) for v in row]
 
     def __eq__(self, other):
@@ -271,7 +274,7 @@ class PrimeField(Field):
         self.p = p
         self.zero = 0
         self.one = 1 % p
-        self.nonzero = p.__rmod__  # a % p, exact for unreduced ints too
+        self.nonzero = self.from_int = p.__rmod__  # a % p, exact for unreduced ints too
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -290,9 +293,6 @@ class PrimeField(Field):
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
-    def from_int(self, i: int):
-        return i % self.p
-
     def elements(self) -> Iterator[int]:
         return iter(range(self.p))
 
@@ -309,28 +309,35 @@ class PrimeField(Field):
     def dot(self, x, y):
         return sum(map(operator.mul, x, y)) % self.p
 
-    # A packed row is one int, entry j (reduced mod p) in the 64-bit slot at bit
-    # 64j.  Nonnegative multiples of packed rows add slot by slot while no slot
-    # reaches 2^64: a sum of n products fits when n * p^2 <= 2^64.
+    # A packed row is one int, entry j in the 64-bit slot at bit 64j.  Nonnegative
+    # multiples of packed rows add slot by slot while no slot reaches 2^64: a sum
+    # of n products of reduced entries fits when n * p^2 <= 2^64.
 
     def packs(self, n: int, rows: int) -> bool:
         p = self.p
         return (n >= PACK_MIN and rows * (p - 1) ** 2 > PACK_MIN_ROWS * p * p
                 and n * p * p <= 1 << 64 and sys.byteorder == "little")
 
-    def pack(self, row, reduced: bool = False) -> int:
+    def pack(self, row) -> int:
         p = self.p
-        return int.from_bytes(array("Q", row if reduced else [a % p for a in row]), "little")
+        return int.from_bytes(array("Q", [a % p for a in row]), "little")
 
-    def unpack(self, x: int, n: int) -> list:
-        p = self.p
-        return [a % p for a in memoryview(x.to_bytes(8 * n, "little")).cast("Q")]
+    def unpack(self, x: int, n: int) -> list:  # a reduced row
+        return memoryview(x.to_bytes(8 * n, "little")).cast("Q").tolist()
 
     def entry(self, x: int, j: int) -> int:
         return (x >> 64 * j & 0xFFFF_FFFF_FFFF_FFFF) % self.p
 
-    def combine(self, coeffs, rows, n: int) -> list:  # sum c_i rows[i], unpacked
-        return self.unpack(sum(map(operator.mul, [c % self.p for c in coeffs], rows)), n)
+    def reduce(self, x: int, n: int) -> int:
+        """x, n packed slots below n p^2, with each reduced mod p in the int (_barrett)."""
+        k, s, m, low, mask = _barrett(self.p, n)
+        if k == 1:
+            return x - self.p * (x * m >> s & mask)
+        out = 0
+        for r in range(0, 64 * k, 64):
+            y = x >> r & low
+            out |= y - self.p * (y * m >> s & mask) << r
+        return out
 
     def scalar_to_json(self, a):
         return a % self.p
@@ -338,25 +345,37 @@ class PrimeField(Field):
     def scalar_from_json(self, v):
         return _json_int(v) % self.p
 
-    def row_from_json(self, row) -> list:
-        if set(map(type, row)) <= {int}:
-            return [v % self.p for v in row]
-        return Field.row_from_json(self, row)  # refuses the first bad entry
-
 
 # linalg._eliminate packs GF(p) rows from PACK_MIN entries (PrimeField.pack) in
 # batches of `rows` rows with rows ((p - 1) / p)^2 > PACK_MIN_ROWS, ((p - 1) / p)^2
-# being how often a product x_i y_j of random entries is nonzero.  A pack or unpack
-# costs about one list axpy, and the list path skips zero multipliers: on the
-# bench pools, 3-5 rows of 16-100 entries took 1.3-2.5x the list time packed,
-# 6-20 rows of 49-100 entries 0.4-0.9x over GF(101), and 8-12 rows of 25-36
-# entries 1.2-1.6x over GF(2) and GF(3).
+# being how often a product x_i y_j of random entries is nonzero: a pack and a
+# reduction inside the int each cost about a list axpy, and the list path skips
+# zero multipliers.  On half-zero random rows, 3 rows of 16 entries took 1.4x the
+# list time packed, 5-20 rows of 49-100 entries 0.3-0.7x over GF(101), and 8 rows
+# of 25 entries 1.15x over GF(2), 0.8x over GF(3).
 PACK_MIN = 12
 PACK_MIN_ROWS = 5
 
 # Extension fields up to this size do their multiplications by log/antilog
 # tables, built in O(q) at construction; larger ones keep polynomial arithmetic.
 TABLE_MAX = 1 << 12
+
+
+@functools.cache
+def _barrett(p: int, n: int) -> tuple:
+    """(k, s, m, low, mask) to reduce the slots x < X = n p^2 of a packed row mod p:
+    with 2^s > (X - 1) p and m = ceil(2^s / p), x m >> s is x // p, as x (m p - 2^s)
+    < 2^s.  Slot j is taken in class j mod k, low masking one class, with k the
+    least (k = 1 while X < ~2^31) that keeps each x m within its 64 k bits, its
+    quotient the low 64 k - s of them after the shift, which mask keeps."""
+    x_max = n * p * p - 1
+    s = (x_max * p).bit_length()
+    m = -(-(1 << s) // p)
+    k = -(-(x_max * m).bit_length() // 64)
+    w, slots = 64 * k, -(-n // k)
+    low = int.from_bytes((b"\xff" * 8 + bytes(w // 8 - 8)) * slots, "little")
+    mask = int.from_bytes(((1 << w - s) - 1).to_bytes(w // 8, "little") * slots, "little")
+    return k, s, m, low, mask
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -550,8 +569,7 @@ class RationalField(Field):
             raise ZeroDivisionError("inverse of zero")
         return ratio(a.denominator, a.numerator)  # never 1 / a, a float for an int a
 
-    def from_int(self, i: int):
-        return i
+    from_int = staticmethod(operator.index)  # an int stays itself
 
     def integer_row(self, v) -> tuple[list, int]:
         """(m v, m), m the LCM of the denominators of v's entries."""

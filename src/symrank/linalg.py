@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from itertools import compress, count
 from math import gcd
+from operator import mul
 
 from .errors import DimMismatch, NotSquare
 from .fields import Field, ratio
@@ -40,6 +41,13 @@ class Mat:
     def identity(field: Field, n: int) -> "Mat":
         z, o = field.zero, field.one
         return Mat(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+
+    @staticmethod
+    def from_flat(field: Field, flat: list, nrows: int, ncols: int) -> "Mat":
+        """The nrows x ncols matrix with the row-major entries flat, sliced once."""
+        m = Mat(field, (), ncols)
+        m.rows, m.nrows = [flat[i * ncols:(i + 1) * ncols] for i in range(nrows)], nrows
+        return m
 
     @staticmethod
     def from_ints(field: Field, rows) -> "Mat":
@@ -139,7 +147,7 @@ def raise_rank(a: Mat, b: Mat, scalars, target: int):
     return None
 
 
-def _eliminate(f: Field, rows, basis=(), pivots=(), reduced=True):
+def _eliminate(f: Field, rows, basis=(), pivots=(), reduced=True, native=False):
     """Add rows, in order, to an echelon; the one elimination loop of the package.
 
     The echelon is basis[k] with a one at column pivots[k] and zeros at the
@@ -150,53 +158,55 @@ def _eliminate(f: Field, rows, basis=(), pivots=(), reduced=True):
     leading entry before scaling, or None when row i added nothing.  A full
     echelon, one pivot per column, absorbs every row without reducing it.
 
-    Over GF(p), long rows in large batches are packed (PrimeField.pack): a row
-    is updated Y + (-c) X, c read off Y and X an echelon row below p, at most
-    n - 1 times, so its slots stay below n p^2.  When reduced, the echelon is
-    cleared at return, last row first, by the finished rows after it.  Over Q
-    the rows are eliminated as integer multiples (_eliminate_fraction_free).
+    Over GF(p), long rows in large batches are packed (PrimeField.pack), and
+    so is every batch given a packed echelon: a row is updated Y + (-c) X, c
+    read off Y and X an echelon row below p, at most n - 1 times, so its slots
+    stay below n p^2, and then reduced inside the int (PrimeField.reduce); its
+    lead is its lowest nonzero slot.  When reduced, the echelon is cleared at
+    the end, last row first, by the finished rows after it.  Over Q the rows
+    are eliminated as integer multiples (_eliminate_fraction_free).  native
+    returns the echelon in the kernel's own row form, packed when the batch
+    packed and integer multiples over Q, to be passed back in as it is.
     """
     if f.integer_row:
-        return _eliminate_fraction_free(f, rows, basis, pivots, reduced)
+        return _eliminate_fraction_free(f, rows, basis, pivots, reduced, native)
     n = len(rows[0]) if rows else 0
-    packs = f.packs(n, len(rows))
-    basis, pivots, leads = list(basis), list(pivots), []
-    packed = [f.pack(r) for r in basis] if packs else None
+    packs = f.packs(n, len(rows)) or bool(basis) and type(basis[0]) is int
+    basis = [f.pack(r) if packs and type(r) is not int else r for r in basis]
+    pivots, leads = list(pivots), []
     nonzero, axpy = f.nonzero, f.axpy_row
     for v in rows:
-        if len(pivots) == len(v):
+        if len(pivots) == n:
             leads.append(None)
             continue
         if not packs:
             for piv, row in zip(pivots, basis):
                 if nonzero(v[piv]):
                     v = axpy(v[piv], row, v)
+            col = next(compress(count(), map(nonzero, v)), None)
         else:
             x = x0 = f.pack(v)
-            for piv, row in zip(pivots, packed):
+            for piv, row in zip(pivots, basis):
                 c = f.entry(x, piv)
                 if c:
                     x += f.neg(c) * row
-            v = f.unpack(x, n) if x != x0 else v  # untouched, v keeps its entries
-        col = next(compress(count(), map(nonzero, v)), None)
-        leads.append(None if col is None else v[col])
+            x = x if x is x0 else f.reduce(x, n)
+            col = (x & -x).bit_length() - 1 >> 6 if x else None  # the lowest nonzero slot
+        # an untouched packed row leads with its entry as given, as on list rows
+        leads.append(None if col is None else v[col] if not packs or x == x0 else f.entry(x, col))
         if col is None:
             continue
-        v = f.scale_row(f.inv(v[col]), v)
-        if packs:
-            packed.append(f.pack(v, reduced=True))
-        elif reduced:
-            basis = [axpy(row[col], v, row) if nonzero(row[col]) else row
-                     for row in basis]
+        v = f.reduce(f.inv(leads[-1]) * x, n) if packs else f.scale_row(f.inv(leads[-1]), v)
+        if reduced and not packs:
+            basis = [axpy(row[col], v, row) if nonzero(row[col]) else row for row in basis]
         basis.append(v)
         pivots.append(col)
     if packs and reduced:
         for k in range(len(basis) - 2, -1, -1):
-            cs = [f.neg(basis[k][piv]) for piv in pivots[k + 1:]]
-            if any(cs):
-                basis[k] = f.combine([1] + cs, packed[k:], n)
-                packed[k] = f.pack(basis[k], reduced=True)
-    return basis, pivots, leads
+            row = f.unpack(basis[k], n)
+            cs = [f.neg(row[piv]) for piv in pivots[k + 1:]]
+            basis[k] = f.reduce(sum(map(mul, cs, basis[k + 1:]), basis[k]), n)
+    return ([f.unpack(x, n) for x in basis] if packs and not native else basis), pivots, leads
 
 
 def _clear(x, row, piv) -> tuple[list, int, int]:
@@ -207,13 +217,14 @@ def _clear(x, row, piv) -> tuple[list, int, int]:
     return ([a // g for a in y] if g > 1 else y), t, g
 
 
-def _eliminate_fraction_free(f: Field, rows, basis, pivots, reduced):
+def _eliminate_fraction_free(f: Field, rows, basis, pivots, reduced, native):
     """_eliminate over Q on integer rows, each a nonzero multiple of the row the
     Fraction loop holds: x = (num / den) v for a row v, and x = x[p] v for an
-    echelon row with pivot p, converted on first use.  Zero tests and pivots
-    match it; the lead is x[col] den / num, and a new or changed row is x / x[p]."""
+    echelon row with pivot p, converted on first use unless native.  Zero tests
+    and pivots match it; the lead is x[col] den / num, and a new or changed row
+    is x / x[p], or x itself when native."""
     basis, pivots, leads = list(basis), list(pivots), []
-    ints = [None] * len(basis)  # integer forms; basis[k] is None once changed
+    ints = list(basis) if native else [None] * len(basis)  # basis[k] is None once changed
     for v in rows:
         (x, num), den = f.integer_row(v), 1
         for k, piv in enumerate(pivots):
@@ -231,8 +242,8 @@ def _eliminate_fraction_free(f: Field, rows, basis, pivots, reduced):
         ints.append(x)
         basis.append(None)
         pivots.append(col)
-    return ([b or [ratio(a, x[p]) for a in x] for b, x, p in zip(basis, ints, pivots)],
-            pivots, leads)
+    return (ints if native else [b or [ratio(a, x[p]) for a in x]
+                                 for b, x, p in zip(basis, ints, pivots)]), pivots, leads
 
 
 def _rref_rows(f: Field, rows, basis=(), pivots=()):

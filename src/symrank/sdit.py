@@ -52,9 +52,9 @@ def _tri(mats: list[Mat], n: int, field, skip: Optional[int] = None) -> TriOutco
         return TriOutcome("witness", witness=ck)
 
     span = MatSpace(field, n, n, mats)  # unpruned, so coefficients index mats
-    limits = (Subspace.zero(field, n) if k == skip else first_wong(b, span).limit
-              for k, b in enumerate(mats))
-    for j, u_star in enumerate(limits):
+    traces = (None if k == skip else first_wong(b, span) for k, b in enumerate(mats))
+    for j, trace in enumerate(traces):
+        u_star = trace.limit if trace else Subspace.zero(field, n)
         bu = span.image_of(u_star)
         if bu.dim < u_star.dim:
             return TriOutcome("witness", witness=u_star)
@@ -68,7 +68,7 @@ def _tri(mats: list[Mat], n: int, field, skip: Optional[int] = None) -> TriOutco
         sub = TriOutcome("nonsingular", coefficients=[field.zero] * m)
     else:
         # quotient maps F^n -> F^n/U*: their kernels are U* and B(U*)
-        perp = u_star.orthogonal()
+        perp = trace.limit_orthogonal
         q = bu.orthogonal().basis_matrix()
         # b at perp's pivot columns is b times a right inverse of perp's RREF basis
         induced = [q.matmul(Mat(field, [[r[c] for c in perp.pivots] for r in b.rows]))
@@ -76,7 +76,8 @@ def _tri(mats: list[Mat], n: int, field, skip: Optional[int] = None) -> TriOutco
         sub = _tri(induced, n - u_star.dim, field, j)
 
         if sub.kind != "nonsingular":
-            later = next((u for u in limits if verify_witness(span, u, 1)), None)
+            later = next((t.limit for t in traces if t and verify_witness(span, t.limit, 1)),
+                         None)
             if later is not None:
                 return TriOutcome("witness", witness=later)
         if sub.kind == "witness":

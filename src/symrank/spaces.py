@@ -35,14 +35,16 @@ class MatSpace:
 
     @staticmethod
     def from_spanning(mats: list[Mat], field: Field | None = None,
-                      nrows: int | None = None, ncols: int | None = None) -> "MatSpace":
-        """Select a maximal independent subset of the input, in input order."""
+                      nrows: int | None = None, ncols: int | None = None,
+                      flat: list | None = None) -> "MatSpace":
+        """Select a maximal independent subset of the input, in input order; flat
+        may hold their entries, row-major, for the elimination."""
         if not mats and (field is None or nrows is None or ncols is None):
             raise DimMismatch("empty spanning set needs explicit dimensions")
         if mats:
             field, nrows, ncols = mats[0].field, mats[0].nrows, mats[0].ncols
-        basis, pivots, leads = _eliminate(field, [m.entry_list() for m in mats],
-                                          reduced=False)
+        basis, pivots, leads = _eliminate(field, flat or [m.entry_list() for m in mats],
+                                          reduced=False, native=True)
         sp = MatSpace(field, nrows, ncols,
                       [m for m, lead in zip(mats, leads) if lead is not None])
         sp._echelon = basis, pivots
@@ -71,8 +73,9 @@ class MatSpace:
             raise DimMismatch("shape mismatch")
         if self._echelon is None:
             self._echelon = _eliminate(self.field, [g.entry_list() for g in self.gens],
-                                       reduced=False)[:2]
-        leads = _eliminate(self.field, [m.entry_list()], *self._echelon, reduced=False)[2]
+                                       reduced=False, native=True)[:2]
+        leads = _eliminate(self.field, [m.entry_list()], *self._echelon, reduced=False,
+                           native=True)[2]
         return leads[0] is None
 
     def coordinates_of(self, m: Mat) -> list | None:

@@ -30,9 +30,13 @@ class WongTrace:
     def terms(self) -> list[Subspace]:
         return [t.orthogonal() for t in self._terms] if self._dual else self._terms
 
-    @property
+    @cached_property
     def limit(self) -> Subspace:
         return self._terms[-1].orthogonal() if self._dual else self._terms[-1]
+
+    @property
+    def limit_orthogonal(self) -> Subspace:
+        return self._terms[-1] if self._dual else self._terms[-1].orthogonal()
 
 
 def _second_wong(a: Mat, sp: MatSpace) -> tuple[list[Subspace], Subspace]:

@@ -227,6 +227,27 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.count("error:") == 9
 
 
+GF101 = {"kind": "prime", "p": 101}
+GOOD_2X3 = [[1, 2, 3], [4, 5, 6]]
+
+
+@pytest.mark.parametrize("field, matrix, message", [
+    (GF101, [[1, 2, 3], 7], "a basis matrix must be an array in JSON, got 7"),
+    (GF101, [[1, 2, 3], [4, 5]], "ragged rows"),
+    (GF101, [[1, 2, 3]], "basis matrix has wrong shape"),
+    (GF101, [[1, 2], [3, 4]], "basis matrix has wrong shape"),
+    (GF101, [[1, True, 3], [4, 5, 6]], "expected an integer scalar, got True"),
+    ({"kind": "rational"}, [[1, 2, 3], [4, 2.5, 6]], "expected an integer scalar, got 2.5"),
+], ids=["row-not-an-array", "ragged-row", "too-few-rows", "short-rows", "gfp-bool-among-ints",
+        "q-float-among-ints"])
+def test_malformed_basis_matrix(tmp_path, capsys, field, matrix, message):
+    # the bad matrix second, after a well-formed one; one error line, nothing else
+    inst = write_json(tmp_path / "bad.json", {
+        "field": field, "n": 2, "n_cols": 3, "basis": [GOOD_2X3, matrix]})
+    assert main(["smr", inst]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_verify_rejects_tampered_cert(tmp_path, capsys, diag_instance):
     cert = str(tmp_path / "smr.json")
     main(["smr", diag_instance, "-o", cert])

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from symrank import (Mat, MatSpace, PrimeField, RationalField, Subspace,
                      first_wong, image, kernel, pseudo_inverse, rref, second_wong)
-from symrank.fields import PACK_MIN, PACK_MIN_ROWS, ExtensionField, Field, _find_irreducible
+from symrank.fields import (PACK_MIN, PACK_MIN_ROWS, ExtensionField, Field, _find_irreducible,
+                            _is_prime, ratio)
 from symrank.linalg import _eliminate, _rref_rows
 from symrank.wong import _second_wong
 
@@ -155,6 +156,13 @@ def _reference_eliminate(f, rows, basis=(), pivots=()):
     return basis, pivots, leads
 
 
+def echelon_rows(f, basis, pivots, n):
+    """A native echelon (_eliminate's native) as list rows with a one at each pivot."""
+    if f.integer_row:
+        return [[ratio(a, r[p]) for a in r] for r, p in zip(basis, pivots)]
+    return [f.unpack(r, n) if type(r) is int else r for r in basis]
+
+
 @PROPERTY
 @given(st.data())
 def test_rows_past_a_full_echelon(data):
@@ -168,7 +176,7 @@ def test_rows_past_a_full_echelon(data):
     mats = [Mat(f, [r], n) for r in rows]
     sp = MatSpace.from_spanning(mats, f, 1, n)
     assert sp.gens == [m for m, lead in zip(mats, leads) if lead is not None]
-    assert sp._echelon == (basis, pivots)
+    assert (echelon_rows(f, *sp._echelon, n), sp._echelon[1]) == (basis, pivots)
     v = data.draw(vectors(f, n))
     assert sp.contains(Mat(f, [v], n))
     assert _eliminate(f, [v], basis, pivots, reduced=False)[2] == [None]
@@ -361,6 +369,45 @@ def test_packed_slots_at_the_bound(p):
                                                                   reduced=reduced)
     assert Mat(f, rows).rank() == n
     assert f.packs(n, len(rows)) == (p == P_EDGE)
+
+
+def largest_packing_prime(n):
+    """The largest p with n p^2 <= 2^64, the edge of PrimeField.packs at length n."""
+    return next(q for q in range(math.isqrt((1 << 64) // n), 1, -1) if _is_prime(q))
+
+
+AT_BOUND = [(n, p) for n in (PACK_MIN, 100) for p in (2, 3, 101, largest_packing_prime(n))]
+
+
+@pytest.mark.parametrize("n, p", AT_BOUND + [(PACK_MIN, 65537), (100, 65537)])
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_in_int_reduction_at_its_bound(n, p, data):
+    # slots up to n p^2 - 1, the most an update loop leaves, in one, two or
+    # three interleaved classes (fields._barrett)
+    f, top = PrimeField(p), n * p * p - 1
+    slots = data.draw(st.lists(st.one_of(st.just(top), st.just(p), st.integers(0, top)),
+                               min_size=n, max_size=n))
+    x = sum(a << 64 * j for j, a in enumerate(slots))
+    assert f.unpack(f.reduce(x, n), n) == [a % p for a in slots]
+
+
+@pytest.mark.parametrize("n, p", AT_BOUND)
+def test_packed_elimination_at_its_bound(n, p):
+    # the echelon rows e_k + (p - 1)(e_(k+1) + ... + e_(n-1)), every entry
+    # p - 1 but the pivot; rows with entry j = 1 - j then meet every
+    # multiplier p - 1, and their slot j gets j (p - 1)^2 added.  The copies
+    # with last entry 1 - n are dependent, so the echelon stays one short and
+    # each copy is cleared at every pivot; they also make the batch pack
+    f = PrimeField(p)
+    rows = [[0] * k + [1] + [p - 1] * (n - 1 - k) for k in range(n - 1)]
+    rows += [[(1 - j) % p for j in range(n - 1)] + [(1 - n) % p]] * (4 * PACK_MIN_ROWS + 2)
+    rows.append([(1 - j) % p for j in range(n)])
+    assert f.packs(n, len(rows))
+    for reduced in (True, False):
+        got = _eliminate(f, rows, reduced=reduced)
+        assert got == _eliminate(ListRows(p), rows, reduced=reduced)
+        assert got[2][n - 1:-1] == [None] * (4 * PACK_MIN_ROWS + 2) and len(got[1]) == n
 
 
 @pytest.mark.parametrize("f", PACKED_FIELDS, ids=PACKED_IDS)
