@@ -6,7 +6,7 @@ column vectors, so a space of n x n' matrices maps F^n' into F^n.
 
 from __future__ import annotations
 
-from itertools import chain, compress, count, repeat
+from itertools import compress, count, repeat
 
 from .errors import DimMismatch, IdentityMissing, NotSquare
 from .fields import Field
@@ -16,8 +16,7 @@ from .linalg import Mat, Subspace, _eliminate, _rref_rows, kernel, solve
 class MatSpace:
     """Linear span of matrices, stored as a linearly independent basis."""
 
-    __slots__ = ("field", "nrows", "ncols", "gens", "_echelon", "_factors", "_split", "_stack",
-                 "_t")
+    __slots__ = ("field", "nrows", "ncols", "gens", "_echelon", "_factors", "_t")
 
     def __init__(self, field: Field, nrows: int, ncols: int, gens, factors=None):
         self.field = field
@@ -29,8 +28,7 @@ class MatSpace:
             if g.nrows != nrows or g.ncols != ncols:
                 raise DimMismatch("generator shape mismatch")
         self._echelon = None  # (basis, pivots) of the flattened gens, built on demand
-        self._factors, self._split = factors, None  # rank-one factors, found on demand if None
-        self._stack = None  # dense generators side by side, built on demand
+        self._factors = factors  # rank-one factors, found on demand if None
         self._t = None  # the transpose space, built on demand
 
     @staticmethod
@@ -110,13 +108,6 @@ class MatSpace:
             self._factors = [_rank_one(self.field, g) for g in self.gens]
         return self._factors
 
-    def _parts(self) -> tuple:
-        """(dense generators, factors (x, y) of the rank-one ones), split once."""
-        if self._split is None:
-            fs = self.factors
-            self._split = [g for g, xy in zip(self.gens, fs) if not xy], [xy for xy in fs if xy]
-        return self._split
-
     def times(self, a: Mat) -> "MatSpace":
         """The space of the B a: a rank-one B = x y^T gives x (a^T y)^T, factors kept."""
         f, at = self.field, a.transpose()
@@ -147,10 +138,12 @@ class MatSpace:
         if u.ambient_dim != self.ncols:
             raise DimMismatch(f"subspace lives in F^{u.ambient_dim}, "
                               f"matrices act on F^{self.ncols}")
-        f, n = self.field, self.nrows
-        dense, ones = self._parts()
-        vecs = [g.apply(v) for g in dense for v in u.basis]
-        vecs += [x for x, y in ones if any(map(f.nonzero, map(f.dot, repeat(y), u.basis)))]
+        f, n, vecs = self.field, self.nrows, []
+        for g, xy in zip(self.gens, self.factors):
+            if xy is None:
+                vecs += [g.apply(v) for v in u.basis]
+            elif any(map(f.nonzero, map(f.dot, repeat(xy[1]), u.basis))):
+                vecs.append(xy[0])
         if base is None:
             return Subspace(f, n, vecs)
         return Subspace(f, n, _rref_rows(f, vecs, base.basis, base.pivots)[0], _canonical=True)
@@ -161,26 +154,21 @@ class MatSpace:
         T is the null space of the rows v.B, over the generators B and a
         basis of w's orthogonal.  For each free column j of w's RREF, that
         basis has v = e_j - sum r[j] e_p over the rows r of w with pivot p,
-        so v.B, for all dense B side by side, is stack[j] - sum r[j] stack[p],
-        stack[i] being their rows i side by side; a rank-one x y^T gives y iff x
-        is not in w."""
-        f, n = self.field, self.ncols
+        so v.B is B's row j minus sum r[j] times B's row p."""
+        f = self.field
         f.check(w.field)
         if w.ambient_dim != self.nrows:
             raise DimMismatch(f"subspace lives in F^{w.ambient_dim}, "
                               f"matrices map into F^{self.nrows}")
-        dense, ones = self._parts()
-        if self._stack is None:
-            self._stack = [list(chain.from_iterable(g.rows[i] for g in dense))
-                           for i in range(self.nrows)]
-        stack, rows = self._stack, [y for x, y in ones if not w.contains_vector(x)]
-        for j in sorted(set(range(self.nrows)).difference(w.pivots)) if dense else ():
-            x = stack[j]
-            for r, p in zip(w.basis, w.pivots):
-                if f.nonzero(r[j]):
-                    x = f.axpy_row(r[j], stack[p], x)
-            rows += [x[k * n:(k + 1) * n] for k in range(len(dense))]
-        return kernel(Mat(f, rows, n))
+        free, rows = sorted(set(range(self.nrows)).difference(w.pivots)), []
+        for g in self.gens:
+            for j in free:
+                x = g.rows[j]
+                for r, p in zip(w.basis, w.pivots):
+                    if f.nonzero(r[j]):
+                        x = f.axpy_row(r[j], g.rows[p], x)
+                rows.append(x)
+        return kernel(Mat(f, rows, self.ncols))
 
     # -- products and algebras ----------------------------------------------
 

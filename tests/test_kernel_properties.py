@@ -423,7 +423,7 @@ def test_image_and_preimage_on_raw_entries(f, data):
                                       max_size=nrows))) for _ in range(m)]
     sp = MatSpace.from_spanning(gens, f, nrows, ncols)
     lsp = MatSpace(lf, nrows, ncols, [Mat(lf, g.rows) for g in sp.gens])
-    for _ in range(2):  # the second call reuses the cached stack
+    for _ in range(2):  # two draws of u and w on one space
         u = Subspace(f, ncols, data.draw(raw_rows(f, ncols, ncols + 1)))
         assert sp.image_of(u) == Subspace(f, nrows, [g.apply(v) for g in sp.gens
                                                      for v in u.basis])

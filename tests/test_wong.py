@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from symrank import (Mat, MatSpace, RationalField, Subspace, distinct_elements,
-                     first_wong, second_wong, verify_witness, witness_test)
+from symrank import (Mat, MatSpace, PrimeField, RationalField, Subspace, distinct_elements,
+                     first_wong, second_wong, spaces, verify_witness, witness_test)
 from symrank.errors import NotMember, NotSquare
 from symrank.oracles import sk3
 from symrank.po import solve_po
 from conftest import GF5, GF7, rand_matrix, rand_nonsingular
+from test_smr import crown
 
 
 def test_first_wong_identity_pair():
@@ -142,3 +143,17 @@ def test_witness_test_po_instance_raises_rank(f):
         assert any(a.axpy(lam, b).rank() > r for lam in distinct_elements(f, n + 1))
         ells.append(ans.ell)
     assert max(ells) >= 2
+
+
+def test_rank_one_detection_once_per_space(monkeypatch):
+    # the space finds its factors once and its transpose inherits them; the
+    # one-matrix spaces of the anchor, which the preimages pull back through,
+    # detect nothing, and the PO space sp.times(A') keeps the factors
+    rng, f = random.Random(67), PrimeField(101)
+    sp = crown(f, 3, (rand_nonsingular(rng, f, 6), rand_nonsingular(rng, f, 6)))
+    a = sp.element([1, 0, 0] * 3)
+    calls, real = [], spaces._rank_one
+    monkeypatch.setattr(spaces, "_rank_one", lambda f, g: calls.append(g) or real(f, g))
+    first_wong(a, sp)
+    assert witness_test(a, sp).po is not None
+    assert len(calls) == sp.dim
