@@ -343,11 +343,8 @@ def verify_certificate(sp: MatSpace, cert: dict) -> bool:
         u = _subspace_from_json(sp.field, sp.ncols, cert["u_basis"])
         u_prime = _subspace_from_json(sp.field, sp.ncols, cert["uprime_basis"])
         if status == "found":
-            ell = _json_int(cert["ell"])
-            if not 0 <= ell <= sp.nrows:
-                raise ValueError(f"exponent ell {ell} is outside 0..{sp.nrows}")
             coeffs = _coefficients(sp.field.scalar_from_json, cert)
-            return _power_escapes(sp.element(coeffs), ell, u, u_prime)
+            return _power_escapes(sp.element(coeffs), _json_int(cert["ell"]), u, u_prime)
         rebuilt = po_certificate(sp, u, u_prime)
     elif algo == "wong":
         rebuilt = wong_certificate(sp, cert["anchor"], cert["kind"])

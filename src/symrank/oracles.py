@@ -138,17 +138,14 @@ def yz_lift(sp: MatSpace, a: Mat) -> MatSpace:
 def yz_lift_shifted(sp: MatSpace, a: Mat) -> MatSpace:
     """Row/column-shifted lift: [[A, B_i + A], [0, 0]] and [[0, 0], [A, A]].
 
+    These are yz_lift's generators times the shear [[I, I], [0, I]], which is
+    invertible: rank, discrepancy and the pruned generators match yz_lift.
     With a = identity the generators are projections; with a large positive
-    a they are entrywise positive.  Rank and discrepancy match yz_lift.
+    a they are entrywise positive.
     """
-    if sp.nrows != sp.ncols:
-        raise NotSquare("lift needs a square space (pad first)")
-    f = sp.field
-    n = sp.nrows
-    z = Mat.zeros(f, n, n)
-    gens = [_block2(f, a, b.axpy(f.one, a), z, z) for b in sp.gens]
-    gens.append(_block2(f, z, z, a, a))
-    return MatSpace.from_spanning(gens)
+    f, n = sp.field, sp.nrows
+    i, z = Mat.identity(f, n), Mat.zeros(f, n, n)
+    return yz_lift(sp, a).times(_block2(f, i, i, z, i))
 
 
 def strict_upper_embed(sp: MatSpace) -> MatSpace:

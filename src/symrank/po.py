@@ -1,7 +1,7 @@
 """Deterministic solver for the power overflow problem.
 
-Given a square space D and subspaces U, U', find an element X and an
-exponent l with X^l(U) not inside U'.  The search is complete for
+Given a square n x n space D and subspaces U, U', find an element X and an
+exponent 1 <= l <= n with X^l(U) not inside U'.  The search is complete for
 rank-1-spanned D; for other inputs failure is reported as a value, never
 raised, so callers can fall back safely.
 """
@@ -30,7 +30,9 @@ class PoAnswer:
 
 
 def _power_escapes(d: Mat, ell: int, u: Subspace, u_prime: Subspace) -> bool:
-    """Check d^ell(u) not contained in u_prime."""
+    """Check d^ell(u) not contained in u_prime, for an exponent 1 <= ell <= n."""
+    if not 1 <= ell <= d.nrows:
+        raise ValueError(f"exponent ell {ell} is outside 1..{d.nrows}")
     d_sp = MatSpace.of(d)
     for _ in range(ell):
         u = d_sp.image_of(u)
@@ -38,7 +40,7 @@ def _power_escapes(d: Mat, ell: int, u: Subspace, u_prime: Subspace) -> bool:
 
 
 def find_ell(inst: PoInstance):
-    """Smallest j <= n with D^j(U) not inside U', plus [I_0, ..., I_(j-1)].
+    """Smallest 1 <= j <= n with D^j(U) not inside U', plus [I_0, ..., I_(j-1)].
 
     I_0 = U and I_k = D(I_(k-1)) = D^k(U).  Returns (None, [I_0, ..., I_n])
     when D^n(U) stays inside U', which includes D = 0: then I_k = 0 for k >= 1.

@@ -65,9 +65,7 @@ class WitnessReport:
     exists: bool
     witness: Optional[Subspace] = None
     c: int = 0
-    stopped_at: Optional[int] = None
-    # when no witness exists: the power overflow instance (D, U, U') and the
-    # index of the first term of the second Wong sequence outside im(a)
+    # when no witness exists: the power overflow instance (D, U, U')
     po: Optional[PoInstance] = None
 
 
@@ -79,8 +77,8 @@ def verify_witness(sp: MatSpace, u: Subspace, c: int) -> bool:
 def witness_test(a: Mat, sp: MatSpace) -> WitnessReport:
     """Decide whether a cork(a)-singularity witness exists, via the second Wong sequence.
 
-    If every term stays inside im(a), a is of maximum rank and the preimage
-    a^{-1}(W*) of the limit is a cork-witness.  Otherwise, with a pseudo-inverse
+    The terms grow, so all stay inside im(a) iff the limit W* does.  Then a is of
+    maximum rank and a^{-1}(W*) is a cork-witness.  Otherwise, with a pseudo-inverse
     A', the terms are W_i = D^i(U), i >= 1, for D = space . A' and U = ker(a A')
     up to the first one outside U' = im(a): the power overflow instance.  D is
     sp.times(A'): a rank-one x y^T gives the outer product x (A'^T y)^T, no matmul.
@@ -91,11 +89,10 @@ def witness_test(a: Mat, sp: MatSpace) -> WitnessReport:
         raise NotMember("anchor matrix is not in the space")
     im_a = image(a)
     terms, witness = _second_wong(a, sp)  # witness = a^{-1}(W*)
-    i = next((i for i, w in enumerate(terms) if not im_a.contains(w)), None)
-    if i is not None:
+    if not im_a.contains(terms[-1]):
         a_pi = pseudo_inverse(a)
         u = kernel(a.matmul(a_pi))
-        return WitnessReport(exists=False, stopped_at=i, po=PoInstance(sp.times(a_pi), u, im_a))
+        return WitnessReport(exists=False, po=PoInstance(sp.times(a_pi), u, im_a))
     cork = a.nrows - im_a.dim
     assert verify_witness(sp, witness, cork), "witness failed its own check"
     return WitnessReport(exists=True, witness=witness, c=cork)

@@ -356,11 +356,12 @@ TAMPER_COMMANDS = {
     "sdit-tri-mod-p-spent": ("q_singular", ["sdit-tri"], ["--mod-p"]),  # tri_algo witness
     "po": ("shift", ["po"], ["--u", E2, "--uprime", E2]),
     "po-no": ("shift", ["po"], ["--u", E1, "--uprime", E1]),   # D e1 = 0: exit 2
+    "po-no-escape": ("shift", ["po"], ["--u", E1, "--uprime", E2]),   # U escapes at ell = 0
     "wong": ("diag", ["wong"], ["--anchor", "1", "--kind", "second"]),
     "tri-test": ("upper", ["tri-test"], ["--pivot", "1"]),
     "oracle": ("sk3", ["oracle"], []),
 }
-EMIT_CODES = {"smr-failed-po": 2, "po-no": 2}
+EMIT_CODES = {"smr-failed-po": 2, "po-no": 2, "po-no-escape": 2}
 
 
 def _set(**fields):
@@ -403,6 +404,8 @@ TAMPER_CASES = [
     _tamper("po", _set(ell=True), 1, "bool-ell"),
     _tamper("po", _set(ell=1.0), 1, "float-ell"),
     _tamper("po", _set(ell=-1, u_basis=[[1, 0]]), 1, "negative-ell"),
+    # X^0(U) = U, which is outside U' = <e2>: the exponent is at least 1
+    _tamper("po", _set(ell=0, u_basis=[[1, 0]]), 1, "zero-ell"),
     # verify applies the combination ell times: an ell past n is refused, not run
     _tamper("po", _set(ell=3), 1, "ell-past-n"),
     _tamper("sdit-tri-mod-p", _set(coefficients=[1.7, 1.2]), 1, "float-coefficients"),
@@ -511,6 +514,21 @@ def test_verify_rejects_tampered_field(tmp_path, capsys, command, mutate, code):
     write_json(tmp_path / "cert.json", data if replaced is None else replaced)
     assert main(["verify", inst, "--cert", cert]) == code
     assert "PASS" not in capsys.readouterr().out
+
+
+def test_verify_refuses_found_at_ell_zero(tmp_path, capsys):
+    # D = <E12>, U = <e1>, U' = <e2>: D(U) = 0, so every power with ell >= 1 stays in
+    # U' and the answer is no. Only X^0(U) = U leaves U', and a found at ell 0 is refused
+    inst, cert = _emit(tmp_path, "po-no-escape")
+    assert main(["verify", inst, "--cert", cert]) == 0
+    assert capsys.readouterr().out == "PASS\n"
+    data = json.loads(open(cert).read())
+    assert data["status"] == "no"
+    data.update(status="found", ell=0, coefficients=[1])
+    write_json(tmp_path / "cert.json", data)
+    assert main(["verify", inst, "--cert", cert]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: exponent ell 0 is outside 1..2\n"
 
 
 @pytest.mark.parametrize("key", ["enumerated_elements", "enumerated_subspaces"])

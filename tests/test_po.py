@@ -3,6 +3,8 @@
 import itertools
 import random
 
+import pytest
+
 from symrank import (Mat, MatSpace, PoAnswer, PoInstance, RationalField, Subspace,
                      find_ell, helpful_subspaces, solve_po)
 from symrank.po import _power_escapes
@@ -67,6 +69,15 @@ def test_solve_po_jordan():
     assert ans.found and ans.ell == 2
     d = jordan_instance().d.element(ans.coefficients)
     assert _power_escapes(d, 2, jordan_instance().u, jordan_instance().u_prime)
+
+
+def test_power_escapes_refuses_ell_outside_one_to_n():
+    # X^0(U) = U is outside U' here, but the exponent of an overflow is at least 1
+    inst = jordan_instance()
+    d = inst.d.element([1, 1])
+    for ell in (0, 4):
+        with pytest.raises(ValueError, match=f"exponent ell {ell} is outside 1..3"):
+            _power_escapes(d, ell, inst.u, inst.u_prime)
 
 
 def test_solve_po_no_escape():

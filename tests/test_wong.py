@@ -1,16 +1,18 @@
 """Wong sequences, their limits, duality, and the witness test."""
 
+import importlib
 import random
 
 import pytest
 
 from symrank import (Mat, MatSpace, PrimeField, RationalField, Subspace, distinct_elements,
-                     first_wong, second_wong, spaces, verify_witness, witness_test)
+                     find_ell, first_wong, second_wong, smr, spaces, verify_witness,
+                     witness_test)
 from symrank.errors import NotMember, NotSquare
 from symrank.oracles import sk3
 from symrank.po import solve_po
 from conftest import GF5, GF7, rand_matrix, rand_nonsingular
-from test_smr import crown
+from test_smr import _nonsingular, crown
 
 
 def test_first_wong_identity_pair():
@@ -87,7 +89,30 @@ def test_witness_test_negative():
     sp = MatSpace.from_spanning([a, Mat.from_ints(GF5, [[0, 1], [1, 0]])])
     rep = witness_test(a, sp)
     assert not rep.exists
-    assert rep.stopped_at is not None
+    assert rep.po is not None
+
+
+def test_po_instance_repeats_the_second_wong_terms(monkeypatch):
+    # the paper's identity: W_i = D^i(U) up to the first term outside im(a),
+    # so find_ell stops at that term's index i and holds U, W_1, ..., W_(i-1)
+    module = importlib.import_module("symrank.smr")
+    reports, real = [], module.witness_test
+
+    def spy(a, space):
+        reports.append((a, space, real(a, space)))
+        return reports[-1][2]
+    monkeypatch.setattr(module, "witness_test", spy)
+    rng = random.Random(29)
+    for f in (PrimeField(101), GF7, RationalField()):
+        for k in (2, 3, 4, 5):
+            twist = [_nonsingular(rng, f, 2 * k) for _ in range(2)]
+            assert smr(crown(f, k, twist)).rank == 2 * k
+    instances = [(a, sp, rep.po) for a, sp, rep in reports if not rep.exists]
+    assert len(instances) == 3 * (2 + 3 + 4 + 5)  # greedy stops at k, then k rounds
+    for a, sp, po in instances:
+        terms = second_wong(a, sp).terms
+        i = next(i for i, w in enumerate(terms) if not po.u_prime.contains(w))
+        assert find_ell(po) == (i, [po.u] + terms[1:i])
 
 
 def test_witness_test_nonsingular_anchor():
