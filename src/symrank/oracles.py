@@ -98,18 +98,11 @@ def brute_disc(sp: MatSpace, budget: int = DEFAULT_BUDGET):
 
 def sk3(field: Field) -> MatSpace:
     """The 3x3 skew symmetric matrices, the standard space without witnesses."""
-    neg = field.from_int(-1)
-    gens = [
-        Mat.from_ints(field, [[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
-        Mat.from_ints(field, [[0, 0, 0], [0, 0, 1], [0, 0, 0]]),
-        Mat.from_ints(field, [[0, 0, 1], [0, 0, 0], [0, 0, 0]]),
-    ]
-    fixed = []
-    for g, (i, j) in zip(gens, [(1, 0), (2, 1), (2, 0)]):
-        rows = [list(r) for r in g.rows]
-        rows[i][j] = neg
-        fixed.append(Mat(field, rows))
-    return MatSpace.from_spanning(fixed)
+    return MatSpace.from_spanning([
+        Mat.from_ints(field, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),
+        Mat.from_ints(field, [[0, 0, 0], [0, 0, 1], [0, -1, 0]]),
+        Mat.from_ints(field, [[0, 0, 1], [0, 0, 0], [-1, 0, 0]]),
+    ])
 
 
 def _block2(field: Field, tl: Mat, tr: Mat, bl: Mat, br: Mat) -> Mat:

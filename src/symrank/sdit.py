@@ -45,16 +45,15 @@ def _tri(mats: list[Mat], n: int, field, skip: Optional[int] = None) -> TriOutco
     A nonsingular E on the quotient lifts to lam B_j + E for one of n + 1 values
     of lam: det(lam B_j + E) is det on U* times det on the quotient, the first
     with leading coefficient det(B_j|U*) != 0 and the second nonzero at lam = 0,
-    so it is a nonzero polynomial of degree <= n."""
-    m = len(mats)
-    ck = kernel(Mat(field, [r for b in mats for r in b.rows]))  # common kernel
-    if ck.dim > 0:
-        return TriOutcome("witness", witness=ck)
+    so it is a nonzero polynomial of degree <= n.
 
+    mats has no common kernel: tri_algo tests the top level once, and a quotient
+    by U* = B^-1(B_j(U*)), where B(U*) = B_j(U*), has B^-1(B(U*)) = U*."""
+    m = len(mats)
     span = MatSpace(field, n, n, mats)  # unpruned, so coefficients index mats
-    traces = (None if k == skip else first_wong(b, span) for k, b in enumerate(mats))
-    for j, trace in enumerate(traces):
-        u_star = trace.limit if trace else Subspace.zero(field, n)
+    traces = ((k, first_wong(b, span)) for k, b in enumerate(mats) if k != skip)
+    for j, trace in traces:
+        u_star = trace.limit
         bu = span.image_of(u_star)
         if bu.dim < u_star.dim:
             return TriOutcome("witness", witness=u_star)
@@ -76,7 +75,7 @@ def _tri(mats: list[Mat], n: int, field, skip: Optional[int] = None) -> TriOutco
         sub = _tri(induced, n - u_star.dim, field, j)
 
         if sub.kind != "nonsingular":
-            later = next((t.limit for t in traces if t and verify_witness(span, t.limit, 1)),
+            later = next((t.limit for _, t in traces if verify_witness(span, t.limit, 1)),
                          None)
             if later is not None:
                 return TriOutcome("witness", witness=later)
@@ -118,7 +117,8 @@ def tri_algo(sp: MatSpace) -> TriOutcome:
     card = sp.field.cardinality()
     if card is not None and card < n + 1:
         raise FieldTooSmall(f"need at least {n + 1} field elements")
-    out = _tri(sp.gens, n, sp.field)
+    ck = kernel(Mat(sp.field, [r for b in sp.gens for r in b.rows]))  # common kernel
+    out = TriOutcome("witness", witness=ck) if ck.dim > 0 else _tri(sp.gens, n, sp.field)
     assert check_outcome(sp, out), "outcome failed its own check"
     return out
 
@@ -126,8 +126,8 @@ def tri_algo(sp: MatSpace) -> TriOutcome:
 def is_triangularizable_with_nonsingular(sp: MatSpace, s: Mat) -> bool:
     """Triangularizability over some extension, tested through s.
 
-    With A the span of the space times s^{-1} and I, the commutators C of A
-    generate an ideal J, and the space is triangularizable iff J^n(F^n) = 0.
+    A, the span of the space times s^{-1}, holds I = s s^{-1}. The commutators
+    C of A generate an ideal J, and the space is triangularizable iff J^n(F^n) = 0.
     V <- cl(C(V)) from V = F^n gives J^k(F^n), where cl is the A-invariant
     closure: every V is A-invariant, so cl(C(V)) = J(V). The terms X, A(X), ...
     of cl(X) grow, as I is in A, so each maps only the rows it adds (spaces._grow).
@@ -141,8 +141,7 @@ def is_triangularizable_with_nonsingular(sp: MatSpace, s: Mat) -> bool:
         raise SingularS("pivot matrix must be nonsingular") from None
     if not sp.contains(s):
         raise NotMember("pivot matrix is not in the space")
-    a_space = MatSpace.from_spanning(
-        [b.matmul(s_inv) for b in sp.gens] + [Mat.identity(sp.field, n)])
+    a_space = MatSpace.from_spanning([b.matmul(s_inv) for b in sp.gens])
     comms = a_space.commutator_space()
     v = Subspace.full(sp.field, n)
     for _ in range(n):

@@ -181,6 +181,20 @@ def test_malformed_scalar_exit_code(tmp_path, capsys, field, entry):
     assert "error:" in capsys.readouterr().err
 
 
+def test_extension_row_mixes_integers_and_coefficient_lists(tmp_path):
+    # a row with a list in it is parsed per scalar, and an integer there is the
+    # constant coefficient: the mixed spelling gives the all-list certificate
+    mixed = [[[1, [0, 1]], [0, 0]], [[0, 0], [[1, 1], 1]], [[0, 1], [1, 0]]]
+    lists = [[[[c, 0] if isinstance(c, int) else c for c in row] for row in b] for b in mixed]
+    certs = []
+    for name, basis in (("mixed", mixed), ("lists", lists)):
+        inst = write_json(tmp_path / f"{name}.json", {
+            "field": GF2_SQUARED, "n": 2, "n_cols": 2, "basis": basis})
+        certs.append(tmp_path / f"{name}_cert.json")
+        assert main(["smr", inst, "-o", str(certs[-1])]) == 0
+    assert certs[0].read_bytes() == certs[1].read_bytes()
+
+
 def test_tri_test(tmp_path, capsys):
     inst = write_json(tmp_path / "tri.json", {
         "field": {"kind": "prime", "p": 5}, "n": 2, "n_cols": 2,
@@ -282,25 +296,33 @@ def test_verify_rejects_foreign_working_field(tmp_path, capsys, diag_instance):
     assert "working field" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, instance", [
-    (["gallery", "yz_lift"], None),
-    (["gallery", "yz_lift_shifted"], None),
-    (["gallery", "strict_upper_embed"], None),
-    (["gallery", "sk3", "--field", "gf2^0"], None),
-    (["gallery", "sk3", "--field", "gf1^2"], None),
+@pytest.mark.parametrize("argv, instance, message", [
+    (["gallery", "yz_lift"], None, "gallery yz_lift needs --base"),
+    (["gallery", "yz_lift_shifted"], None, "gallery yz_lift_shifted needs --base"),
+    (["gallery", "strict_upper_embed"], None, "gallery strict_upper_embed needs --base"),
+    (["gallery", "nonsense"], None, "unknown gallery name 'nonsense'"),
+    (["gallery", "sk3", "--field", "reals"], None, "unknown field name 'reals'"),
+    (["gallery", "sk3", "--field", "gf2^0"], None, "extension degree must be at least 1, got 0"),
+    (["gallery", "sk3", "--field", "gf1^2"], None, "1 is not prime"),
     (["oracle"], {"field": {"kind": "prime", "p": 3317044064679887385961981}, "n": 1,
-                  "basis": [[[1]]]}),
-    (["oracle"], {"field": {"kind": "prime", "p": 5}, "n": -1, "basis": []}),
-    (["oracle"], {"field": {"kind": "prime", "p": 5}, "n": 2, "n_cols": -1, "basis": []}),
+                  "basis": [[[1]]]},
+     "cannot decide whether 3317044064679887385961981 is prime: the test is exact only "
+     "below 3317044064679887385961981"),
+    (["oracle"], {"field": {"kind": "prime", "p": 5}, "n": -1, "basis": []},
+     "negative matrix size -1 x -1"),
+    (["oracle"], {"field": {"kind": "prime", "p": 5}, "n": 2, "n_cols": -1, "basis": []},
+     "negative matrix size 2 x -1"),
+    (["oracle"], {"field": {"kind": "real"}, "n": 1, "basis": [[[1]]]},
+     "unknown field kind 'real'"),
 ], ids=["yz-lift-without-base", "yz-lift-shifted-without-base",
-        "strict-upper-embed-without-base", "degree-zero-extension",
-        "non-prime-extension-base", "prime-test-bound", "negative-n",
-        "negative-n-cols"])
-def test_input_errors_exit_1(tmp_path, capsys, argv, instance):
+        "strict-upper-embed-without-base", "unknown-gallery-name", "unknown-field-name",
+        "degree-zero-extension", "non-prime-extension-base", "prime-test-bound", "negative-n",
+        "negative-n-cols", "unknown-field-kind"])
+def test_input_errors_exit_1(tmp_path, capsys, argv, instance, message):
     if instance is not None:
         argv = argv + [write_json(tmp_path / "inst.json", instance)]
     assert main(argv + ["-o", str(tmp_path / "out.json")]) == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_instance_round_trip_identical(tmp_path):
@@ -311,12 +333,12 @@ def test_instance_round_trip_identical(tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
-def test_gallery_lift(tmp_path):
+@pytest.mark.parametrize("name", ["yz_lift", "yz_lift_shifted", "strict_upper_embed"])
+def test_gallery_lift(tmp_path, name):
     base = str(tmp_path / "sk3.json")
     out = str(tmp_path / "emb.json")
     main(["gallery", "sk3", "--field", "gf2", "-o", base])
-    assert main(["gallery", "strict_upper_embed", "--base", base,
-                 "-o", out]) == 0
+    assert main(["gallery", name, "--base", base, "-o", out]) == 0
     data = json.loads(open(out).read())
     assert data["n"] == 6
 
@@ -621,6 +643,14 @@ def test_verify_refuses_rational_sdit_inconclusive(tmp_path, capsys, instance):
     assert err == "error: rational_sdit certificate has unknown status 'inconclusive'\n"
 
 
+def test_verify_refuses_unknown_algorithm(tmp_path, capsys):
+    inst = write_json(tmp_path / "inst.json", {
+        "field": Q, "n": 1, "n_cols": 1, "basis": [[["1"]]]})
+    cert = write_json(tmp_path / "cert.json", {"algorithm": "nonsense"})
+    assert main(["verify", inst, "--cert", cert]) == 1
+    assert capsys.readouterr() == ("", "error: unknown certificate algorithm 'nonsense'\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["wong", "--anchor", "5", "--kind", "first"],
     ["wong", "--anchor", "-1", "--kind", "first"],
@@ -721,5 +751,8 @@ def test_rational_certificate_bytes(tmp_path, capsys, instance, command, expecte
     inst, cert = write_json(tmp_path / "q.json", instance), str(tmp_path / "cert.json")
     assert main([command[0], inst, *command[1:], "-o", cert]) == 0
     assert open(cert).read() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    # with no -o the same text goes to stdout
+    assert main([command[0], inst, *command[1:]]) == 0
+    assert capsys.readouterr().out == open(cert).read()
     assert main(["verify", inst, "--cert", cert]) == 0
     assert capsys.readouterr().out == "PASS\n"

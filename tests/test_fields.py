@@ -9,7 +9,7 @@ import pytest
 
 from symrank import (ExtensionField, FieldSpec, Mat, PrimeField, RationalField,
                      SymrankError, distinct_elements, ensure_size, make_field)
-from symrank.errors import NonPrimeModulus, ReducibleModulus
+from symrank.errors import FieldMismatch, NonPrimeModulus, ReducibleModulus
 from symrank.fields import (_MR_BOUND, TABLE_MAX, _counting, _find_irreducible, _is_prime,
                             _poly_divmod, _poly_irreducible, _poly_mul, _poly_trim,
                             extension_field)
@@ -27,6 +27,8 @@ def test_prime_field_basics():
     assert f.from_int(-1) == 6
     assert f.cardinality() == 7
     assert list(f.elements()) == list(range(7))
+    with pytest.raises(ZeroDivisionError):
+        f.inv(7)
 
 
 def test_prime_field_rejects_composites():
@@ -55,6 +57,16 @@ def test_rational_field():
     assert f.inv(Fraction(-2, 3)) == Fraction(-3, 2)
     assert f.cardinality() is None
     assert f.from_int(5) == Fraction(5)
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
+
+
+def test_mixing_fields_raises():
+    a, b = Mat.identity(PrimeField(5), 2), Mat.identity(PrimeField(7), 2)
+    with pytest.raises(FieldMismatch):
+        a.matmul(b)
+    with pytest.raises(FieldMismatch):
+        Mat.identity(RationalField(), 2).axpy(1, a)
 
 
 def exact(a, b) -> bool:

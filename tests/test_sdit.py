@@ -279,13 +279,22 @@ def test_generator_recursed_on_has_zero_limit_below(monkeypatch):
             assert (skip is None) == (n == sp.nrows)
             if skip is not None:
                 assert first_wong(mats[skip], MatSpace(field, n, n, mats)).limit.dim == 0
+                # and, as a quotient by a first-Wong limit, no common kernel
+                assert kernel(Mat(field, [r for b in mats for r in b.rows])).dim == 0
                 checked += 1
     assert checked >= 100
 
 
+# four levels, n = 4, 3, 2, 1, recursing on B_1, B_2, B_3 in turn
+FOUR_LEVELS = MatSpace(GF5, 4, 4, [Mat.from_ints(GF5, rows) for rows in (
+    [[4, 2, 1, 0], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1]],
+    [[0, 3, 0, 0], [0, 0, 1, 2], [0, 0, 1, 4], [0, 0, 0, 1]],
+    [[0, 4, 2, 2], [0, 2, 0, 1], [0, 0, 0, 2], [0, 0, 0, 0]])])
+
+
 def test_tri_algo_skips_the_generator_recursed_on(monkeypatch):
-    # four levels, n = 4, 3, 2, 1, recursing on B_1, B_2, B_3 in turn; each level
-    # below the top skips the one above's generator: 5 first-Wong calls, not 7
+    # each level below the top skips the one above's generator: 5 first-Wong
+    # calls, not 7
     levels = _levels(monkeypatch)
     calls = []
 
@@ -293,14 +302,23 @@ def test_tri_algo_skips_the_generator_recursed_on(monkeypatch):
         calls.append((sp.nrows, next(k for k, g in enumerate(sp.gens) if g is a)))
         return first_wong(a, sp)
     monkeypatch.setattr(sdit, "first_wong", counted)
-    sp = MatSpace(GF5, 4, 4, [Mat.from_ints(GF5, rows) for rows in (
-        [[4, 2, 1, 0], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1]],
-        [[0, 3, 0, 0], [0, 0, 1, 2], [0, 0, 1, 4], [0, 0, 0, 1]],
-        [[0, 4, 2, 2], [0, 2, 0, 1], [0, 0, 0, 2], [0, 0, 0, 0]])])
-    out = tri_algo(sp)
-    assert out.kind == "nonsingular" and check_outcome(sp, out)
+    out = tri_algo(FOUR_LEVELS)
+    assert out.kind == "nonsingular" and check_outcome(FOUR_LEVELS, out)
     assert [(n, skip) for _, n, _, skip in levels] == [(4, None), (3, 0), (2, 1), (1, 2)]
     assert calls == [(4, 0), (3, 1), (2, 0), (2, 2), (1, 0)]
+
+
+def test_tri_algo_takes_the_common_kernel_once(monkeypatch):
+    # the levels below the top are quotients by first-Wong limits, which have no
+    # common kernel, so only the top level's is taken: 1 kernel call, not 4
+    levels, calls = _levels(monkeypatch), []
+
+    def counted(a):
+        calls.append(a)
+        return kernel(a)
+    monkeypatch.setattr(sdit, "kernel", counted)
+    out = tri_algo(FOUR_LEVELS)
+    assert out.kind == "nonsingular" and len(levels) == 4 and len(calls) == 1
 
 
 def test_tri_test_upper_triangular():
