@@ -17,9 +17,9 @@ import sys
 from itertools import chain
 
 from . import oracles, sdit
-from .smr import SmrResult, check_claim, pad_square, working_space
+from .smr import SmrResult, check_claim, pad_square
 from .smr import smr as run_smr
-from .errors import DimMismatch, EmptySpace, NotSquare, SymrankError
+from .errors import DimMismatch, SymrankError
 from .fields import FieldSpec, _json_int, _json_typed, extension_field, make_field
 from .linalg import Mat, Subspace
 from .po import PoInstance, _power_escapes, solve_po
@@ -300,24 +300,18 @@ def verify_certificate(sp: MatSpace, cert: dict) -> bool:
         raise ValueError(f"{algo} certificate has unknown status {status!r}")
 
     if algo == "smr":
-        space = working_space(sp, FieldSpec.from_json(cert["working_field"]))
-        wf = space.field
-        rank = _json_int(cert["rank"])
-        witness = None
+        wf = make_field(FieldSpec.from_json(cert["working_field"]))
+        n, rank = max(sp.nrows, sp.ncols), _json_int(cert["rank"])
+        c = witness = None
         if status != "failed_po":
-            if _json_int(cert["c"]) != space.nrows - rank:
-                return False
-            witness = _subspace_from_json(wf, space.ncols, cert["witness_basis"])
+            c = _json_int(cert["c"])
+            witness = _subspace_from_json(wf, n, cert["witness_basis"])
         coeffs = _coefficients(wf.scalar_from_json, cert)
-        return check_claim(sp, space, SmrResult(status, coeffs, rank, witness, wf.spec))
+        # check_claim first: a working field the instance does not embed into
+        # is malformed (ValueError), whatever c says
+        res = SmrResult(status, coeffs, rank, witness, wf.spec)
+        return check_claim(sp, res) and (c is None or c == n - rank)
 
-    if algo in ("tri_algo", "rational_sdit"):
-        # the solver refuses these instances, so no claim on them holds
-        if sp.nrows != sp.ncols:
-            raise NotSquare("SDIT is defined for square spaces")
-        if sp.dim == 0:
-            raise EmptySpace("empty generator list" if algo == "tri_algo"
-                             else "no generators to combine")
     if algo in ("tri_algo", "rational_sdit") or (algo, status) == ("po", "found"):
         # the other certificates are rebuilt, working field included
         if FieldSpec.from_json(cert["working_field"]) != sp.field.spec:

@@ -122,15 +122,11 @@ class Mat:
         return f.neg(det) if swaps % 2 else det
 
     def inverse(self) -> "Mat":
-        if self.nrows != self.ncols:
-            raise NotSquare("inverse of a non-square matrix")
-        n = self.nrows
-        f = self.field
-        aug = [list(r) + list(i) for r, i in zip(self.rows, Mat.identity(f, n).rows)]
-        red, pivots = _rref_rows(f, aug)
-        if len(pivots) < n or pivots[-1] >= n:
+        """The pseudo-inverse A', checked: a A' a = a gives A' = a^-1 for a nonsingular a."""
+        a_pi = pseudo_inverse(self)
+        if self.matmul(a_pi) != Mat.identity(self.field, self.nrows):
             raise ZeroDivisionError("singular matrix")
-        return Mat(f, [r[n:] for r in red])
+        return a_pi
 
 
 def raise_rank(a: Mat, b: Mat, scalars, target: int):

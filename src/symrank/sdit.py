@@ -94,10 +94,20 @@ def _tri(mats: list[Mat], n: int, field, skip: Optional[int] = None) -> TriOutco
     return TriOutcome("nonsingular", coefficients=coeffs)
 
 
+def _sdit_space(sp: MatSpace) -> None:
+    """Refuse a space that SDIT is not defined on: a non-square or empty one."""
+    if sp.nrows != sp.ncols:
+        raise NotSquare("SDIT is defined for square spaces")
+    if sp.dim == 0:
+        raise EmptySpace("empty generator list")
+
+
 def check_outcome(sp: MatSpace, out: TriOutcome, c: int = 1) -> bool:
     """The claim of a tri_algo outcome on sp: a full-rank combination of sp's
     basis, or a witness U with dim U - dim sp(U) >= max(1, c); fail claims
-    nothing, and any other kind is refused (ValueError)."""
+    nothing.  A space tri_algo refuses is refused (_sdit_space), and so is any
+    other kind (ValueError)."""
+    _sdit_space(sp)
     if out.kind == "nonsingular":
         return sp.element(out.coefficients).rank() == sp.nrows
     if out.kind == "witness":
@@ -109,10 +119,7 @@ def check_outcome(sp: MatSpace, out: TriOutcome, c: int = 1) -> bool:
 
 def tri_algo(sp: MatSpace) -> TriOutcome:
     """Run the recursion on sp's generators; coefficients refer to their positions."""
-    if sp.nrows != sp.ncols:
-        raise NotSquare("SDIT is defined for square spaces")
-    if sp.dim == 0:
-        raise EmptySpace("empty generator list")
+    _sdit_space(sp)
     n = sp.nrows
     card = sp.field.cardinality()
     if card is not None and card < n + 1:
@@ -194,7 +201,7 @@ def rational_sdit(int_mats: list[list[list[int]]]) -> RationalSditReport:
     over GF(p), whose rank n tri_algo has checked, so the determinant is nonzero.
     """
     if not int_mats:
-        raise EmptySpace("no generators to combine")
+        raise EmptySpace("empty generator list")
     m = len(int_mats)
     n = len(int_mats[0])
     b = max(1, max(abs(e) for mat in int_mats for row in mat for e in row))

@@ -178,19 +178,15 @@ def certified_status(base: Field, working: Field) -> str:
     return "max_rank_found" if working.spec == base.spec else "non_constructive_rank"
 
 
-def check_claim(sp: MatSpace, space: MatSpace, res: SmrResult) -> bool:
-    """The claim of an SMR result on sp's working space `space`: the
-    combination has rank res.rank, and the witness has discrepancy at least
-    n - rank, so no element has more.  A result without a witness is
-    failed_po and claims only that lower bound; one with a witness has the
-    status certified_status gives for the working field."""
+def check_claim(sp: MatSpace, res: SmrResult) -> bool:
+    """The claim of an SMR result on the padded space over res.working_field
+    (working_space): the combination has rank res.rank, and the witness has
+    discrepancy at least n - rank, so no element has more.  A result without
+    a witness is failed_po and claims only that lower bound; one with a
+    witness has the status certified_status gives for the working field."""
+    space = working_space(sp, res.working_field)
     status = "failed_po" if res.witness is None else certified_status(sp.field, space.field)
     return (res.status == status
             and space.element(res.coefficients).rank() == res.rank
             and (res.witness is None
                  or verify_witness(space, res.witness, space.nrows - res.rank)))
-
-
-def check_result(sp: MatSpace, res: SmrResult) -> bool:
-    """Re-verify a result against the (padded) space."""
-    return check_claim(sp, working_space(sp, res.working_field), res)

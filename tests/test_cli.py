@@ -148,7 +148,7 @@ def test_sdit_mod_p_clears_denominators(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, basis, message", [
     ({"kind": "prime", "p": 5}, [[[1]]], "rationals"),
-    ({"kind": "rational"}, [[["0"]]], "no generators"),
+    ({"kind": "rational"}, [[["0"]]], "empty generator list"),
 ], ids=["prime-field", "only-zero-generators"])
 def test_sdit_mod_p_input_checks(tmp_path, capsys, field, basis, message):
     inst = write_json(tmp_path / "inst.json", {
@@ -292,6 +292,10 @@ def test_verify_rejects_foreign_working_field(tmp_path, capsys, diag_instance):
     data = json.loads(open(cert).read())
     data["working_field"] = {"kind": "prime", "p": 3}
     open(cert, "w").write(json.dumps(data))
+    assert main(["verify", diag_instance, "--cert", cert]) == 1
+    assert "working field" in capsys.readouterr().err
+    # malformed, exit 1, also when c is wrong
+    open(cert, "w").write(json.dumps({**data, "c": 5}))
     assert main(["verify", diag_instance, "--cert", cert]) == 1
     assert "working field" in capsys.readouterr().err
 
@@ -612,7 +616,7 @@ def test_verify_refuses_sdit_on_non_square(tmp_path, capsys, shape, cert):
 @pytest.mark.parametrize("argv, cert, message", [
     ([], {"algorithm": "tri_algo", "status": "fail"}, "empty generator list"),
     (["--mod-p"], {"algorithm": "rational_sdit", "status": "nonsingular_combination",
-                   "prime_used": 2, "coefficients": []}, "no generators to combine"),
+                   "prime_used": 2, "coefficients": []}, "empty generator list"),
 ], ids=["tri-algo-fail", "mod-p-nonsingular-combination"])
 def test_verify_refuses_sdit_claims_without_generators(tmp_path, capsys, argv, cert, message):
     # an all-zero basis spans 0: sdit-tri refuses it, so verify refuses every

@@ -9,7 +9,7 @@ import pytest
 
 from symrank import (ExtensionField, FieldSpec, Mat, PrimeField, RationalField,
                      SymrankError, distinct_elements, ensure_size, make_field)
-from symrank.errors import FieldMismatch, NonPrimeModulus, ReducibleModulus
+from symrank.errors import FieldMismatch, FieldTooSmall, NonPrimeModulus, ReducibleModulus
 from symrank.fields import (_MR_BOUND, TABLE_MAX, _counting, _find_irreducible, _is_prime,
                             _poly_divmod, _poly_irreducible, _poly_mul, _poly_trim,
                             extension_field)
@@ -59,6 +59,8 @@ def test_rational_field():
     assert f.from_int(5) == Fraction(5)
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
+    with pytest.raises(FieldTooSmall):
+        f.elements()
 
 
 def test_mixing_fields_raises():

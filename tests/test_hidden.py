@@ -14,7 +14,7 @@ import pytest
 from symrank import Mat, MatSpace, PrimeField, RationalField, smr
 from symrank.fields import extension_field
 from symrank.oracles import brute_max_rank
-from symrank.smr import check_result
+from symrank.smr import check_claim
 from conftest import GF2, GF3, GF7, rank_one_space
 from test_smr import _nonsingular, crown
 
@@ -70,7 +70,7 @@ def _check(sp, rank):
     max_rank_found over a field of at least n + 1 elements."""
     res = smr(sp)
     assert res.rank == rank
-    assert check_result(sp, res)
+    assert check_claim(sp, res)
     card = sp.field.cardinality()
     assert res.status != "failed_po"
     if card is None or card >= sp.nrows + 1:

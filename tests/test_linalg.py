@@ -28,6 +28,20 @@ def test_shape_mismatch_raises():
         a.axpy(GF5.one, Mat.zeros(GF5, 3, 2))
     with pytest.raises(NotSquare):
         a.det()
+    with pytest.raises(DimMismatch):
+        Mat(GF5, [[1, 2], [3]])
+    with pytest.raises(DimMismatch):
+        a.apply([1, 2])
+    with pytest.raises(DimMismatch):
+        Subspace(GF5, 3, [[1, 2]])
+    with pytest.raises(DimMismatch):
+        Subspace.full(GF5, 3).contains_vector([1, 2])
+    with pytest.raises(DimMismatch):
+        Subspace.full(GF5, 3).contains(Subspace.full(GF5, 2))
+    with pytest.raises(NotSquare):
+        pseudo_inverse(a)
+    with pytest.raises(NotSquare):
+        a.inverse()
 
 
 def test_raise_rank():

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from symrank import Mat, MatSpace, PrimeField, Subspace
-from symrank.errors import BudgetExceeded
+from symrank import Mat, MatSpace, PrimeField, RationalField, Subspace
+from symrank.errors import BudgetExceeded, FieldTooSmall, NotSquare
 from symrank.cli import oracle_certificate
 from symrank.oracles import (blackbox_greedy, brute_disc, brute_max_rank,
                              count_subspaces, enumerate_subspaces, sk3,
@@ -59,6 +59,8 @@ def test_budget_refusal():
         brute_max_rank(sp, budget=2)
     with pytest.raises(BudgetExceeded):
         brute_disc(sp, budget=2)
+    with pytest.raises(BudgetExceeded):
+        brute_disc(MatSpace.from_spanning([Mat.identity(RationalField(), 2)]))
 
 
 def is_compression(sp):
@@ -83,6 +85,9 @@ def test_yz_lift_disc_zero():
     lifted = yz_lift(sp, Mat.identity(GF3, 3))
     disc, _ = brute_disc(lifted, budget=10 ** 6)
     assert disc == 0
+    rect = MatSpace.from_spanning([Mat.zeros(GF3, 2, 3)], GF3, 2, 3)
+    with pytest.raises(NotSquare):
+        yz_lift(rect, Mat.identity(GF3, 2))
 
 
 def test_yz_lift_shifted_idempotent():
@@ -123,6 +128,8 @@ def test_blackbox_greedy_diag():
     assert sp.element(coeffs).rank() == 2
     # the start, then one call per trial: 2 and 3 times B_0 stay at rank 1, B_1 raises it
     assert calls == [[1, 0], [2, 0], [3, 0], [1, 1]]
+    with pytest.raises(FieldTooSmall):
+        blackbox_greedy(oracle, 2, 2, GF2)
 
 
 def test_blackbox_greedy_reaches_brute_on_rank_one():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from symrank import (Mat, MatSpace, PrimeField, RationalField,
+from symrank import (Mat, MatSpace, PrimeField, RationalField, Subspace,
                      is_triangularizable_with_nonsingular, rational_sdit,
                      tri_algo, verify_witness)
 from symrank import sdit
@@ -87,6 +87,17 @@ def test_tri_algo_rejects_rectangular():
 def test_tri_algo_rejects_empty_space():
     with pytest.raises(EmptySpace):
         tri_algo(MatSpace(GF5, 2, 2, []))
+
+
+@pytest.mark.parametrize("out", [
+    TriOutcome("fail"), TriOutcome("nonsingular", coefficients=[]),
+    TriOutcome("witness", witness=Subspace.zero(GF5, 3))], ids=["fail", "nonsingular", "witness"])
+def test_check_outcome_refuses_what_tri_algo_refuses(out):
+    # the checker holds no claim on a space the solver refuses, not even fail
+    with pytest.raises(NotSquare, match="SDIT is defined for square spaces"):
+        check_outcome(MatSpace.from_spanning([Mat.zeros(GF5, 2, 3)], GF5, 2, 3), out)
+    with pytest.raises(EmptySpace, match="empty generator list"):
+        check_outcome(MatSpace(GF5, 3, 3, []), out)
 
 
 def _single_lam(field, n, b, e):
@@ -347,6 +358,9 @@ def test_tri_test_input_checks():
         is_triangularizable_with_nonsingular(sp, sp.gens[1])
     with pytest.raises(NotMember):
         is_triangularizable_with_nonsingular(sp, Mat.from_ints(GF5, [[1, 0], [1, 1]]))
+    rect = MatSpace.from_spanning([Mat.zeros(GF5, 2, 3)], GF5, 2, 3)
+    with pytest.raises(NotSquare):
+        is_triangularizable_with_nonsingular(rect, Mat.zeros(GF5, 2, 3))
 
 
 def test_tri_test_conjugation_invariant():
@@ -368,6 +382,10 @@ def test_int_det_matches_fraction_det():
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         expect = Mat.from_ints(q, rows).det()
         assert Fraction(_int_det(rows)) == expect
+    # an all-zero pivot column, and a swap: the draws above reach neither
+    fixed = [[[0]], [[0, 1], [0, 2]], [[0, 1, 2], [0, 3, 4], [0, 5, 7]], [[0, 1], [1, 0]]]
+    assert [_int_det(rows) for rows in fixed] == [0, 0, 0, -1]
+    assert [Mat.from_ints(q, rows).det() for rows in fixed] == [0, 0, 0, -1]
 
 
 def test_rational_sdit_nonsingular():

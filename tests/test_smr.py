@@ -13,8 +13,8 @@ from symrank.errors import EmptySpace
 from symrank.oracles import brute_max_rank
 from symrank.fields import FieldSpec, extension_field
 from symrank.linalg import raise_rank
-from symrank.smr import (check_claim, check_result, greedy_start, pad_square,
-                         reduce_coefficients, working_space)
+from symrank.smr import (check_claim, greedy_start, pad_square, reduce_coefficients,
+                         working_space)
 from conftest import GF2, GF3, GF5, GF7, gf2_fallback, rand_nonsingular, rank_one_space
 
 
@@ -48,7 +48,7 @@ def test_smr_diagonal_pair():
     assert res.status == "max_rank_found"
     assert res.rank == 2
     assert res.witness == Subspace(GF7, 3, [[0, 0, 1]])
-    assert check_result(sp, res)
+    assert check_claim(sp, res)
 
 
 def test_smr_empty_space_raises():
@@ -126,7 +126,7 @@ def test_smr_embeds_when_lambdas_run_out(monkeypatch):
     assert res.status == "non_constructive_rank" and res.working_field == gf8
     assert res.ranks_visited == [3, 4]
     assert res.rank == brute_max_rank(sp)[0] == 4
-    assert check_result(sp, res)
+    assert check_claim(sp, res)
 
 
 def test_non_constructive_rank_is_the_working_field_maximum():
@@ -139,7 +139,7 @@ def test_non_constructive_rank_is_the_working_field_maximum():
     res = smr(sp)
     gf4 = extension_field(2, 2).spec
     assert (res.status, res.rank, res.working_field) == ("non_constructive_rank", 3, gf4)
-    assert check_result(sp, res)
+    assert check_claim(sp, res)
     assert brute_max_rank(sp)[0] == 2
     assert brute_max_rank(working_space(sp, gf4))[0] == smr_rank_only(sp) == 3
 
@@ -152,7 +152,7 @@ def test_smr_fallback_keeps_failed_po_on_sk3(monkeypatch, f):
     big = extension_field(f.spec.p, 2).spec
     assert fields == [f.spec, big]
     assert (res.status, res.rank, res.working_field, res.witness) == ("failed_po", 2, big, None)
-    assert check_result(sk3(f), res)
+    assert check_claim(sk3(f), res)
 
 
 def _crowns(f, rng):
@@ -179,7 +179,7 @@ def test_smr_small_fields_stay_in_the_base_field():
         res = smr(sp)
         assert res.rank == rank
         assert res.working_field == sp.field.spec and res.status == "max_rank_found"
-        assert check_result(sp, res)
+        assert check_claim(sp, res)
 
 
 def test_reduce_coefficients_rational():
@@ -214,17 +214,19 @@ def test_check_claim_and_working_space():
     res = smr(sp)
     space = working_space(sp, res.working_field)
     assert space.field.spec == res.working_field and space.nrows == space.ncols == 3
-    assert check_claim(sp, space, res)
+    assert check_claim(sp, res)
     for wrong_rank in (1, 3):
-        assert not check_claim(sp, space, replace(res, rank=wrong_rank))
-    assert not check_claim(sp, space, replace(res, witness=Subspace.zero(space.field, 3)))
+        assert not check_claim(sp, replace(res, rank=wrong_rank))
+    assert not check_claim(sp, replace(res, witness=Subspace.zero(space.field, 3)))
     # without a witness (failed_po) only the rank of the combination is claimed
     lower = replace(res, status="failed_po", witness=None)
-    assert check_claim(sp, space, lower)
+    assert check_claim(sp, lower)
     for wrong_rank in (1, 3):
-        assert not check_claim(sp, space, replace(lower, rank=wrong_rank))
+        assert not check_claim(sp, replace(lower, rank=wrong_rank))
     with pytest.raises(ValueError, match="working field"):
         working_space(sp, FieldSpec("prime", p=3))
+    with pytest.raises(ValueError, match="working field"):
+        check_claim(sp, replace(res, working_field=FieldSpec("prime", p=3)))
 
 
 def crown(f, k, twist=None):
@@ -268,7 +270,7 @@ def test_smr_augments_twisted_crown(f):
         res = smr(sp)
         assert res.rank == n
         assert res.ranks_visited == list(range(k, n + 1))
-        assert check_result(sp, res)
+        assert check_claim(sp, res)
 
 
 def _reduce_by_expansion(sp, coeffs):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from symrank import Mat, MatSpace, Subspace
-from symrank.errors import IdentityMissing
+from symrank.errors import DimMismatch, IdentityMissing, NotSquare
 from conftest import GF2, GF5, GF7, rand_matrix, rand_subspace
 
 
@@ -23,6 +23,10 @@ def test_from_spanning_prunes_dependent():
     assert sp.gens == [e11, e22]
     zero_sp = MatSpace.from_spanning([Mat.zeros(GF7, 2, 2)])
     assert zero_sp.dim == 0 and zero_sp.is_zero()
+    with pytest.raises(DimMismatch):
+        MatSpace.from_spanning([])
+    with pytest.raises(DimMismatch):
+        MatSpace(GF7, 2, 2, [Mat.zeros(GF7, 2, 3)])
 
 
 def test_contains_and_coordinates():
@@ -33,6 +37,8 @@ def test_contains_and_coordinates():
     assert sp.element([3, 4]) == m
     assert not sp.contains(e(GF5, 2, 0, 1))
     assert sp.coordinates_of(e(GF5, 2, 0, 1)) is None
+    with pytest.raises(DimMismatch):
+        sp.contains(Mat.zeros(GF5, 2, 3))
 
 
 def test_image_of():
@@ -40,6 +46,8 @@ def test_image_of():
     assert sp.image_of(Subspace.full(GF5, 2)) == Subspace.full(GF5, 2)
     zero_sp = MatSpace(GF5, 2, 2, [])
     assert zero_sp.image_of(Subspace.full(GF5, 2)).dim == 0
+    with pytest.raises(DimMismatch):
+        sp.image_of(Subspace.full(GF5, 3))
 
 
 def test_preimage_of():
@@ -54,6 +62,8 @@ def test_preimage_of():
     rect = MatSpace.from_spanning([Mat.from_ints(GF5, [[1, 2, 0], [0, 1, 4]])])
     assert rect.preimage_of(Subspace.full(GF5, 2)) == Subspace.full(GF5, 3)
     assert rect.preimage_of(Subspace.zero(GF5, 2)) == Subspace(GF5, 3, [[3, 1, 1]])
+    with pytest.raises(DimMismatch):
+        rect.preimage_of(Subspace.full(GF5, 3))
     # n x 0 matrices, and two 2 x 3 generators, against the duality formula
     flat = MatSpace.of(Mat.zeros(GF5, 2, 0))
     assert flat.preimage_of(Subspace.zero(GF5, 2)) == Subspace.full(GF5, 0)
@@ -95,6 +105,8 @@ def test_product_and_power():
     sp = MatSpace.from_spanning([e(GF5, 2, 0, 0), e(GF5, 2, 0, 1)])
     ident = MatSpace.from_spanning([Mat.identity(GF5, 2)])
     assert sp.product(ident).gens == sp.gens
+    with pytest.raises(DimMismatch):
+        sp.product(MatSpace.from_spanning([Mat.identity(GF5, 3)]))
 
 
 def test_commutator_space():
@@ -103,6 +115,8 @@ def test_commutator_space():
     full = MatSpace.from_spanning([e(GF5, 2, i, j)
                                    for i in range(2) for j in range(2)])
     assert not full.commutator_space().is_zero()
+    with pytest.raises(NotSquare):
+        MatSpace.from_spanning([Mat.zeros(GF5, 2, 3)], GF5, 2, 3).commutator_space()
 
 
 def test_generated_algebra():
@@ -117,3 +131,5 @@ def test_generated_algebra():
     full = MatSpace.from_spanning(
         [Mat.identity(GF5, 2), e(GF5, 2, 0, 1), e(GF5, 2, 1, 0)])
     assert full.generated_algebra().dim == 4
+    with pytest.raises(NotSquare):
+        MatSpace.from_spanning([Mat.zeros(GF5, 2, 3)], GF5, 2, 3).generated_algebra()

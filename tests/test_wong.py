@@ -8,7 +8,7 @@ import pytest
 from symrank import (Mat, MatSpace, PrimeField, RationalField, Subspace, distinct_elements,
                      find_ell, first_wong, second_wong, smr, spaces, verify_witness,
                      witness_test)
-from symrank.errors import NotMember, NotSquare
+from symrank.errors import DimMismatch, NotMember, NotSquare
 from symrank.oracles import sk3
 from symrank.po import solve_po
 from conftest import GF5, GF7, rand_matrix, rand_nonsingular
@@ -132,6 +132,8 @@ def test_witness_test_input_checks():
     rect = MatSpace.from_spanning([Mat.zeros(GF5, 2, 3)], GF5, 2, 3)
     with pytest.raises(NotSquare):
         witness_test(Mat.zeros(GF5, 2, 3), rect)
+    with pytest.raises(DimMismatch):
+        second_wong(Mat.identity(GF5, 3), other)
 
 
 def _sign_rank_one_space(rng, f, n):
