@@ -20,7 +20,7 @@ from .fields import Field, FieldSpec, distinct_elements, ensure_size
 from .linalg import Mat, Subspace, _eliminate, raise_rank
 from .po import solve_po
 from .spaces import MatSpace
-from .wong import verify_witness, witness_test
+from .wong import WitnessReport, verify_witness, witness_test
 
 
 @dataclass
@@ -104,9 +104,11 @@ def smr(sp: MatSpace) -> SmrResult:
     """Maximum-rank search: the greedy start, then augmentation until certified.
 
     The loop runs over sp's own field.  Only the choice of lambda needs n + 1
-    scalars, so a field with fewer that runs out (PO finds no direction, or
-    no lambda raises the rank) is embedded once into the deterministic
-    extension of at least n + 1 elements, and the loop goes on there."""
+    scalars, so a field with fewer than n + 1 elements that runs out (PO finds
+    no direction, or no lambda raises the rank) is embedded once into the
+    deterministic extension of at least n + 1 elements, and the loop goes on
+    there.  At rank sp.ncols no witness test runs: the padded columns, zero in
+    every generator, span ker a, so W* = 0 and the witness is their span."""
     if sp.dim == 0:
         raise EmptySpace("cannot search an empty matrix space")
     work = pad_square(sp)
@@ -117,7 +119,8 @@ def smr(sp: MatSpace) -> SmrResult:
     lambdas = _lambdas(f, n)
 
     for _ in range(n + 2):  # n rank increases and one embedding
-        report = witness_test(a, work)
+        report = witness_test(a, work) if r < sp.ncols else WitnessReport(
+            True, Subspace(f, n, Mat.identity(f, n).rows[r:], _canonical=True), n - r)
         if report.exists:
             return SmrResult(certified_status(sp.field, f), coeffs, r,
                              report.witness, f.spec, ranks)

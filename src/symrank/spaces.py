@@ -133,12 +133,15 @@ class MatSpace:
 
     def image_of(self, u: Subspace, base: Subspace | None = None) -> Subspace:
         """Span of B(u) over the generators B and basis vectors u, merged into
-        base's echelon when given; a rank-one B = x y^T gives x iff y.u != 0."""
+        base's echelon when given; a rank-one B = x y^T gives x iff y.u != 0.
+        A zero u maps to zero (or base) before the factors are read."""
         self.field.check(u.field)
         if u.ambient_dim != self.ncols:
             raise DimMismatch(f"subspace lives in F^{u.ambient_dim}, "
                               f"matrices act on F^{self.ncols}")
         f, n, vecs = self.field, self.nrows, []
+        if not u.basis:
+            return Subspace.zero(f, n) if base is None else base
         for g, xy in zip(self.gens, self.factors):
             if xy is None:
                 vecs += [g.apply(v) for v in u.basis]
@@ -222,18 +225,20 @@ def _rank_one(f: Field, g: Mat):
     return [s[p] for s in g.rows], y
 
 
-def _grow(sp: MatSpace, w: Subspace, pull=lambda w: w) -> tuple[list[Subspace], Subspace]:
+def _grow(sp: MatSpace, w: Subspace,
+          pull=lambda w: w) -> tuple[list[Subspace], Subspace, Subspace]:
     """The terms of W_(i+1) = W_i + sp(pull(W_i)) from W_0 = w, up to the first
-    that does not grow, and pull of the last. pull is monotone, so the Y_i =
-    pull(W_i) and their RREF pivot sets grow: the rows of Y_i's RREF at pivots
-    Y_(i-1) lacks complete Y_(i-1) to Y_i, and only they are mapped."""
+    that does not grow, pull of the last and pull(W_0). pull is monotone, so the
+    Y_i = pull(W_i) and their RREF pivot sets grow: the rows of Y_i's RREF at
+    pivots Y_(i-1) lacks complete Y_(i-1) to Y_i, and only they are mapped."""
     terms, old = [w], ()
+    y = first = pull(w)
     while w.dim < w.ambient_dim:  # a full W cannot grow
-        y = pull(w)
         new = [r for r, p in zip(y.basis, y.pivots) if p not in old]
         w = sp.image_of(Subspace(w.field, y.ambient_dim, new, _canonical=True), w) if new else w
         if w.dim == terms[-1].dim:
-            return terms, y
+            return terms, y, first
         terms.append(w)
         old = set(y.pivots)
-    return terms, pull(w)
+        y = pull(w)
+    return terms, y, first

@@ -39,9 +39,9 @@ class WongTrace:
         return self._terms[-1] if self._dual else self._terms[-1].orthogonal()
 
 
-def _second_wong(a: Mat, sp: MatSpace) -> tuple[list[Subspace], Subspace]:
-    """The second Wong terms and a^{-1} of the limit: Y_i = a^{-1}(W_i) grows, so
-    W_(i+1) = W_i + space(Y_i) maps only the rows Y_i adds (spaces._grow)."""
+def _second_wong(a: Mat, sp: MatSpace) -> tuple[list[Subspace], Subspace, Subspace]:
+    """The second Wong terms, a^{-1} of the limit and ker a = a^{-1}(0): Y_i = a^{-1}(W_i)
+    grows, so W_(i+1) = W_i + space(Y_i) maps only the rows Y_i adds (spaces._grow)."""
     if a.nrows != sp.nrows or a.ncols != sp.ncols:
         raise DimMismatch("anchor matrix vs space dimensions")
     return _grow(sp, Subspace.zero(a.field, a.nrows), MatSpace.of(a).preimage_of)
@@ -77,22 +77,23 @@ def verify_witness(sp: MatSpace, u: Subspace, c: int) -> bool:
 def witness_test(a: Mat, sp: MatSpace) -> WitnessReport:
     """Decide whether a cork(a)-singularity witness exists, via the second Wong sequence.
 
-    The terms grow, so all stay inside im(a) iff the limit W* does.  Then a is of
-    maximum rank and a^{-1}(W*) is a cork-witness.  Otherwise, with a pseudo-inverse
-    A', the terms are W_i = D^i(U), i >= 1, for D = space . A' and U = ker(a A')
-    up to the first one outside U' = im(a): the power overflow instance.  D is
-    sp.times(A'): a rank-one x y^T gives the outer product x (A'^T y)^T, no matmul.
+    The terms grow, so all stay inside im(a) iff the limit W* does: iff dim a^{-1}(W*)
+    - dim W* = dim ker a, as dim a^{-1}(W) = dim(W meet im a) + dim ker a, with ker a
+    = a^{-1}(0) the sequence's first pull.  Then a is of maximum rank, c = dim ker a,
+    and a^{-1}(W*) is a cork-witness.  Otherwise, with a pseudo-inverse A', the terms
+    are W_i = D^i(U), i >= 1, for D = space . A' and U = ker(a A') up to the first
+    one outside U' = im(a): the power overflow instance, the one place im(a) and A'
+    are built.  D is sp.times(A'): a rank-one x y^T gives x (A'^T y)^T, no matmul.
     """
     if a.nrows != a.ncols:
         raise NotSquare("witness test needs a square space (pad first)")
     if not sp.contains(a):
         raise NotMember("anchor matrix is not in the space")
-    im_a = image(a)
-    terms, witness = _second_wong(a, sp)  # witness = a^{-1}(W*)
-    if not im_a.contains(terms[-1]):
+    terms, witness, ker = _second_wong(a, sp)  # witness = a^{-1}(W*)
+    if witness.dim - terms[-1].dim != ker.dim:  # W* is not inside im(a)
         a_pi = pseudo_inverse(a)
         u = kernel(a.matmul(a_pi))
-        return WitnessReport(exists=False, po=PoInstance(sp.times(a_pi), u, im_a))
-    cork = a.nrows - im_a.dim
+        return WitnessReport(exists=False, po=PoInstance(sp.times(a_pi), u, image(a)))
+    cork = ker.dim
     assert verify_witness(sp, witness, cork), "witness failed its own check"
     return WitnessReport(exists=True, witness=witness, c=cork)

@@ -226,9 +226,10 @@ def test_second_wong_matches_every_step_mapped(data):
     a_sp = MatSpace.of(a)
     reference = run_to_fixpoint(lambda w: sp.image_of(a_sp.preimage_of(w)),
                                 Subspace.zero(f, nrows))
-    terms, pulled = _second_wong(a, sp)
+    terms, pulled, ker = _second_wong(a, sp)
     assert terms == reference == second_wong(a, sp).terms
     assert pulled == a_sp.preimage_of(reference[-1])
+    assert ker == kernel(a)
     assert not to_full or terms[-1].dim == nrows
 
 

@@ -122,10 +122,43 @@ def test_smr_embeds_when_lambdas_run_out(monkeypatch):
     fields = _witness_test_fields(monkeypatch)
     res = smr(sp)
     gf8 = extension_field(2, 3).spec  # the first GF(2^k) with n + 1 = 5 elements
-    assert fields == [GF2.spec, gf8, gf8]
+    assert fields == [GF2.spec, gf8]  # rank 4 = n is certified with no witness test
     assert res.status == "non_constructive_rank" and res.working_field == gf8
     assert res.ranks_visited == [3, 4]
     assert res.rank == brute_max_rank(sp)[0] == 4
+    assert check_claim(sp, res)
+
+
+def _units(f, nrows, ncols, *ijs):
+    return [Mat(f, [[f.one if (r, c) == ij else f.zero for c in range(ncols)]
+                    for r in range(nrows)]) for ij in ijs]
+
+
+@pytest.mark.parametrize("ncols, ijs", [(3, [(0, 0), (1, 1), (2, 2), (0, 1)]),
+                                        (2, [(0, 0), (1, 1), (2, 0)])], ids=["square", "tall"])
+def test_smr_at_rank_n_cols_runs_no_witness_test(monkeypatch, ncols, ijs):
+    # greedy reaches rank n_cols: the padded columns span ker a, W* = 0, and the
+    # witness a^{-1}(0) is their span, the same the witness test would build
+    rng = random.Random(83)
+    q, r = rand_nonsingular(rng, GF5, 3), rand_nonsingular(rng, GF5, ncols)
+    sp = MatSpace.from_spanning([q.matmul(m).matmul(r) for m in _units(GF5, 3, ncols, *ijs)])
+    fields = _witness_test_fields(monkeypatch)
+    res = smr(sp)
+    assert fields == [] and res.rank == res.ranks_visited[0] == ncols
+    work = pad_square(sp)
+    assert res.witness == witness_test(work.element(res.coefficients), work).witness
+    assert res.witness == Subspace(GF5, 3, Mat.identity(GF5, 3).rows[ncols:])
+    assert check_claim(sp, res)
+
+
+def test_smr_wide_input_keeps_the_witness_test(monkeypatch):
+    # <E11, E22> at 2 x 3: rank 2 = n_rows < n_cols, so the test runs and
+    # certifies <e3>, the padded row's column, not F^3
+    sp = MatSpace.from_spanning(_units(GF5, 2, 3, (0, 0), (1, 1)))
+    fields = _witness_test_fields(monkeypatch)
+    res = smr(sp)
+    assert fields == [GF5.spec]
+    assert (res.rank, res.witness) == (2, Subspace(GF5, 3, [[0, 0, 1]]))
     assert check_claim(sp, res)
 
 

@@ -50,6 +50,15 @@ def test_image_of():
         sp.image_of(Subspace.full(GF5, 3))
 
 
+def test_image_of_zero_reads_no_factors():
+    # a zero subspace maps to zero, or to base, before any rank-one detection
+    sp = MatSpace.from_spanning([e(GF5, 2, 0, 0), e(GF5, 2, 0, 1)])
+    assert sp.image_of(Subspace.zero(GF5, 2)) == Subspace.zero(GF5, 2)
+    base = Subspace(GF5, 2, [[0, 1]])
+    assert sp.image_of(Subspace.zero(GF5, 2), base) is base
+    assert sp._factors is None
+
+
 def test_preimage_of():
     sp = MatSpace.from_spanning([e(GF5, 2, 0, 0), e(GF5, 2, 1, 1)])
     assert sp.preimage_of(Subspace.full(GF5, 2)) == Subspace.full(GF5, 2)

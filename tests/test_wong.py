@@ -6,12 +6,15 @@ import random
 import pytest
 
 from symrank import (Mat, MatSpace, PrimeField, RationalField, Subspace, distinct_elements,
-                     find_ell, first_wong, second_wong, smr, spaces, verify_witness,
-                     witness_test)
+                     find_ell, first_wong, image, kernel, pseudo_inverse, second_wong, smr,
+                     spaces, verify_witness, witness_test)
 from symrank.errors import DimMismatch, NotMember, NotSquare
+from symrank.fields import extension_field
 from symrank.oracles import sk3
 from symrank.po import solve_po
-from conftest import GF5, GF7, rand_matrix, rand_nonsingular
+from symrank.smr import greedy_start
+from conftest import GF2, GF3, GF5, GF7, rand_matrix, rand_nonsingular, rank_one_space
+from test_hidden import _rank_one_q, hidden_crown
 from test_smr import _nonsingular, crown
 
 
@@ -113,6 +116,56 @@ def test_po_instance_repeats_the_second_wong_terms(monkeypatch):
         terms = second_wong(a, sp).terms
         i = next(i for i, w in enumerate(terms) if not po.u_prime.contains(w))
         assert find_ell(po) == (i, [po.u] + terms[1:i])
+
+
+def _containment_rule(a, sp):
+    """The witness test by membership: W* inside im(a) gives the witness
+    a^{-1}(W*) with c = n - dim im(a), and otherwise the PO instance on a
+    pseudo-inverse A', (space . A', ker(a A'), im(a))."""
+    im_a, limit = image(a), second_wong(a, sp).limit
+    if im_a.contains(limit):
+        return True, MatSpace.of(a).preimage_of(limit), a.nrows - im_a.dim, None
+    a_pi = pseudo_inverse(a)
+    return False, None, 0, ([b.matmul(a_pi) for b in sp.gens], kernel(a.matmul(a_pi)), im_a)
+
+
+def _anchor_corpus(rng, f, sp):
+    """The greedy start, random members, zero and, when smr reaches rank n
+    over f itself, a nonsingular member."""
+    n, draw = sp.nrows, (lambda: f.from_int(rng.randint(-2, 2))) if f.cardinality() is None \
+        else (lambda: rng.choice(list(f.elements())))
+    yield greedy_start(sp, n)[1]
+    for _ in range(3):
+        yield sp.element([draw() for _ in range(sp.dim)])
+    yield Mat.zeros(f, n, n)
+    res = smr(sp)
+    if res.working_field == f.spec and res.rank == n:
+        yield sp.element(res.coefficients)
+
+
+@pytest.mark.parametrize("f", [GF2, GF3, PrimeField(101), extension_field(2, 2), RationalField()],
+                         ids=["gf2", "gf3", "gf101", "gf4", "q"])
+def test_witness_test_dimension_rule_matches_containment(f):
+    # dim a^{-1}(W*) - dim W* = dim ker a decides W* <= im(a) as the membership
+    # test does, with the same witness, c and PO instance on every anchor
+    rng = random.Random(71)
+    def spaces_():
+        for k in (1, 2, 3):
+            yield crown(f, k, (_nonsingular(rng, f, 2 * k), _nonsingular(rng, f, 2 * k)))
+        for k in (3, 4):  # over GF(2) no hidden crown has k = 2
+            yield hidden_crown(rng, f, k)
+        for n, m in ((3, 2), (4, 3), (4, 6), (5, 10)):  # m < n: no anchor is nonsingular
+            yield _rank_one_q(rng, n, m) if f.cardinality() is None \
+                else rank_one_space(rng, f, n, n, m)
+    outcomes = set()
+    for sp in spaces_():
+        for a in _anchor_corpus(rng, f, sp):
+            rep, (exists, witness, c, po) = witness_test(a, sp), _containment_rule(a, sp)
+            assert (rep.exists, rep.witness, rep.c) == (exists, witness, c)
+            outcomes.add((exists, a.rank() == sp.nrows))
+            if po is not None:
+                assert (rep.po.d.gens, rep.po.u, rep.po.u_prime) == po
+    assert outcomes == {(True, True), (True, False), (False, False)}
 
 
 def test_witness_test_nonsingular_anchor():
