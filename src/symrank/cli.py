@@ -430,7 +430,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (SymrankError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: missing key {exc}" if isinstance(exc, KeyError) else f"error: {exc}",
+              file=sys.stderr)
         return 1
 
 

@@ -12,7 +12,7 @@ from math import gcd
 from operator import mul
 
 from .errors import DimMismatch, NotSquare
-from .fields import Field, ratio
+from .fields import Field, distinct_elements, ratio
 
 
 class Mat:
@@ -129,13 +129,14 @@ class Mat:
         return a_pi
 
 
-def raise_rank(a: Mat, b: Mat, scalars, target: int):
-    """(c, a + c b, its rank) for the first c in scalars, taken lazily, at
-    which the rank reaches target, else None.  If some a + x b reaches it, a
-    target x target minor is a nonzero polynomial in x of degree <= target,
-    so any target + 1 distinct scalars contain a c that does: the search of
-    the SMR step and of the SDIT lift, over fields of n + 1 elements."""
-    for c in scalars:
+def raise_rank(a: Mat, b: Mat, target: int):
+    """(c, a + c b, its rank) for the first c of the field's first
+    min(|F|, target + 1) elements (distinct_elements' order) at which the
+    rank reaches target, else None.  If some a + x b reaches it, a target x
+    target minor is a nonzero polynomial in x of degree <= target, so any
+    target + 1 distinct scalars contain such a c: why SMR and SDIT need n + 1."""
+    card = a.field.cardinality()
+    for c in distinct_elements(a.field, target + 1 if card is None else min(card, target + 1)):
         cand = a.axpy(c, b)
         rank = cand.rank()
         if rank >= target:

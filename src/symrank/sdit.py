@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import EmptySpace, FieldTooSmall, NotMember, NotSquare, SingularS
-from .fields import FieldSpec, _is_prime, distinct_elements, make_field
+from .fields import FieldSpec, _is_prime, make_field
 from .linalg import Mat, Subspace, kernel, raise_rank
 from .spaces import MatSpace, _grow
 from .wong import first_wong, verify_witness
@@ -85,8 +85,7 @@ def _tri(mats: list[Mat], n: int, field, skip: Optional[int] = None) -> TriOutco
         if sub.kind == "fail":
             return TriOutcome("fail")
 
-    found = raise_rank(span.element(sub.coefficients), mats[j],
-                       distinct_elements(field, n + 1), n)
+    found = raise_rank(span.element(sub.coefficients), mats[j], n)
     if found is None:
         raise AssertionError("no nonsingular lam B_j + E among n + 1 values of lam")
     coeffs = list(sub.coefficients)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .errors import EmptySpace
-from .fields import Field, FieldSpec, distinct_elements, ensure_size
+from .fields import Field, FieldSpec, ensure_size
 from .linalg import Mat, Subspace, _eliminate, raise_rank
 from .po import solve_po
 from .spaces import MatSpace
@@ -62,14 +62,13 @@ def embed_space(sp: MatSpace, size: int) -> MatSpace:
 
 def reduce_coefficients(sp: MatSpace, coeffs: list, a: Mat, r: int) -> tuple:
     """(coefficients, element, rank): each coefficient in order becomes the
-    first value in {0,...,n} at which the running element a, of rank r, keeps
-    rank r or more (raise_rank's n + 1 scalars contain one)."""
+    first value in {0,...,r} at which the running element a, of rank r, keeps
+    rank r or more (raise_rank's r + 1 scalars contain one)."""
     f = sp.field
-    n = max(sp.nrows, sp.ncols)
     out, rank = list(coeffs), r
     for i, b in enumerate(sp.gens):
         base = a.axpy(f.neg(out[i]), b)  # the running element without B_i
-        out[i], a, rank = raise_rank(base, b, map(f.from_int, range(n + 1)), r)
+        out[i], a, rank = raise_rank(base, b, r)
     return out, a, rank
 
 
@@ -77,7 +76,7 @@ def greedy_start(sp: MatSpace, limit: int) -> tuple:
     """(coefficients, element, rank) of the sum of the generators, in basis
     order, that each raise the rank when added, stopping at rank `limit`.
     Coefficient 1 suffices: A + xy^T gains rank iff x, y are not in im A, row A,
-    kept as echelons; any other generator goes through raise_rank, rebuilding them."""
+    kept as echelons; a dense generator is taken if A + B has more rank, rebuilding them."""
     f = sp.field
     coeffs = [f.zero] * sp.dim
     a, r = Mat.zeros(f, sp.nrows, sp.ncols), 0
@@ -86,9 +85,10 @@ def greedy_start(sp: MatSpace, limit: int) -> tuple:
         if r == limit:
             break
         if xy is None:
-            found = raise_rank(a, g, [f.one], r + 1)
-            if found:
-                coeffs[i], a, r = found
+            cand = a.axpy(f.one, g)
+            rank = cand.rank()
+            if rank > r:
+                coeffs[i], a, r = f.one, cand, rank
                 cols, rows = (_eliminate(f, m.rows, reduced=False)[:2] for m in (a.transpose(), a))
             continue
         *more_cols, (x_lead,) = _eliminate(f, [xy[0]], *cols, reduced=False)
@@ -103,12 +103,13 @@ def greedy_start(sp: MatSpace, limit: int) -> tuple:
 def smr(sp: MatSpace) -> SmrResult:
     """Maximum-rank search: the greedy start, then augmentation until certified.
 
-    The loop runs over sp's own field.  Only the choice of lambda needs n + 1
-    scalars, so a field with fewer than n + 1 elements that runs out (PO finds
-    no direction, or no lambda raises the rank) is embedded once into the
-    deterministic extension of at least n + 1 elements, and the loop goes on
-    there.  At rank sp.ncols no witness test runs: the padded columns, zero in
-    every generator, span ker a, so W* = 0 and the witness is their span."""
+    The loop runs over sp's own field.  Only raise_rank's lambda, among r + 2
+    <= n + 1 scalars (lambda = 0 leaves rank r), needs a large field, so a field
+    with fewer than n + 1 elements that runs out (PO finds no direction, or no
+    lambda raises the rank) is embedded once into the deterministic extension
+    of at least n + 1 elements, and the loop goes on there.  At rank sp.ncols
+    no witness test runs: the padded columns, zero in every generator, span
+    ker a, so W* = 0 and the witness is their span."""
     if sp.dim == 0:
         raise EmptySpace("cannot search an empty matrix space")
     work = pad_square(sp)
@@ -116,7 +117,6 @@ def smr(sp: MatSpace) -> SmrResult:
     f = work.field
     coeffs, a, r = greedy_start(work, min(sp.nrows, sp.ncols))
     ranks = [r]
-    lambdas = _lambdas(f, n)
 
     for _ in range(n + 2):  # n rank increases and one embedding
         report = witness_test(a, work) if r < sp.ncols else WitnessReport(
@@ -126,31 +126,21 @@ def smr(sp: MatSpace) -> SmrResult:
                              report.witness, f.spec, ranks)
 
         answer = solve_po(report.po)
-        found = answer.found and raise_rank(a, work.element(answer.coefficients),
-                                            lambdas, r + 1)
+        found = answer.found and raise_rank(a, work.element(answer.coefficients), r + 1)
         if found:
             lam, a, r = found
             coeffs = [f.add(c, f.mul(lam, bc)) for c, bc in zip(coeffs, answer.coefficients)]
             if f.cardinality() is None:
                 coeffs, a, r = reduce_coefficients(work, coeffs, a, r)
             ranks.append(r)
-        elif len(lambdas) < n:  # the field has fewer than n + 1 elements
+        elif f.cardinality() is not None and f.cardinality() <= n:
             f, embed = ensure_size(f, n + 1)
             work = embed_space(work, n + 1)
             coeffs = [embed(c) for c in coeffs]
-            a = Mat(f, [[embed(e) for e in row] for row in a.rows])
-            lambdas = _lambdas(f, n)
+            a = work.element(coeffs)  # the embedding is a ring homomorphism
         else:
             return SmrResult("failed_po", coeffs, r, None, f.spec, ranks)
     raise AssertionError("rank increased more than n times")  # unreachable
-
-
-def _lambdas(f: Field, n: int) -> list:
-    """The nonzero values among min(|F|, n + 1) distinct scalars: lam = 0
-    leaves the rank at r, so over n + 1 the n nonzero values suffice."""
-    card = f.cardinality()
-    return [lam for lam in distinct_elements(f, n + 1 if card is None else min(card, n + 1))
-            if f.nonzero(lam)]
 
 
 def smr_rank_only(sp: MatSpace) -> int:

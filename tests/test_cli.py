@@ -318,15 +318,28 @@ def test_verify_rejects_foreign_working_field(tmp_path, capsys, diag_instance):
      "negative matrix size 2 x -1"),
     (["oracle"], {"field": {"kind": "real"}, "n": 1, "basis": [[[1]]]},
      "unknown field kind 'real'"),
+    (["oracle"], {"field": {"kind": "prime", "p": 5}, "n": 1}, "missing key 'basis'"),
+    (["oracle"], {"field": {"kind": "prime"}, "n": 1, "basis": [[[1]]]}, "missing key 'p'"),
 ], ids=["yz-lift-without-base", "yz-lift-shifted-without-base",
         "strict-upper-embed-without-base", "unknown-gallery-name", "unknown-field-name",
         "degree-zero-extension", "non-prime-extension-base", "prime-test-bound", "negative-n",
-        "negative-n-cols", "unknown-field-kind"])
+        "negative-n-cols", "unknown-field-kind", "missing-basis", "missing-field-p"])
 def test_input_errors_exit_1(tmp_path, capsys, argv, instance, message):
     if instance is not None:
         argv = argv + [write_json(tmp_path / "inst.json", instance)]
     assert main(argv + ["-o", str(tmp_path / "out.json")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_certificate_missing_key_exit_1(tmp_path, capsys, diag_instance):
+    cert = str(tmp_path / "smr.json")
+    main(["smr", diag_instance, "-o", cert])
+    data = json.loads(open(cert).read())
+    del data["rank"]
+    open(cert, "w").write(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", diag_instance, "--cert", cert]) == 1
+    assert capsys.readouterr() == ("", "error: missing key 'rank'\n")
 
 
 def test_instance_round_trip_identical(tmp_path):

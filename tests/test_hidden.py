@@ -15,7 +15,7 @@ from symrank import Mat, MatSpace, PrimeField, RationalField, smr
 from symrank.fields import extension_field
 from symrank.oracles import brute_max_rank
 from symrank.smr import check_claim
-from conftest import GF2, GF3, GF7, rank_one_space
+from conftest import GF2, GF3, GF5, GF7, rank_one_space
 from test_smr import _nonsingular, crown
 
 FIELDS = [GF2, GF3, GF7, PrimeField(101), extension_field(2, 2), RationalField()]
@@ -30,8 +30,12 @@ def hidden_space(rng, sp):
 
 
 def _mixing(rng, f, k):
-    """An invertible k x k matrix with two or more nonzeros in every row; over
-    GF(2) none exists for k = 2."""
+    """An invertible k x k matrix with two or more nonzeros in every row.
+    None exists for k = 1, nor for k = 2 over GF(2), whose one such row is
+    (1, 1): ValueError then, instead of drawing forever."""
+    if k == 1 or k == 2 and f.cardinality() == 2:
+        raise ValueError(f"no invertible {k} x {k} matrix over {f.spec.to_json()} "
+                         "has two nonzeros in every row")
     while True:
         m = _nonsingular(rng, f, k)
         if all(len([c for c in r if f.nonzero(c)]) >= 2 for r in m.rows):
@@ -113,3 +117,9 @@ def test_hidden_rank_one_space(f, request):
             rank = smr(sp).rank
         statuses.append(_check(hidden_space(rng, sp), rank))
     assert statuses == SPACE_STATUSES.get(request.node.callspec.id, [MAX] * 6)
+
+
+@pytest.mark.parametrize("f, k", [(GF2, 2), (GF5, 1)], ids=["gf2-k2", "gf5-k1"])
+def test_hidden_crown_without_a_mixing_matrix_raises(f, k):
+    with pytest.raises(ValueError, match="two nonzeros in every row"):
+        hidden_crown(random.Random(0), f, k)

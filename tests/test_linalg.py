@@ -6,9 +6,10 @@ import pytest
 
 from symrank import (Mat, PrimeField, RationalField, Subspace, image, kernel,
                      pseudo_inverse, rref)
+from symrank.fields import extension_field
 from symrank.linalg import raise_rank
 from symrank.errors import DimMismatch, NotSquare
-from conftest import GF2, GF5, GF7, rand_matrix
+from conftest import GF2, GF3, GF5, GF7, rand_matrix
 
 
 def test_matmul_and_rank():
@@ -48,13 +49,41 @@ def test_raise_rank():
     # det(a + x b) = (1 + x)^2 - 1 = x (x + 2): singular at 0 and 5 over GF(7)
     a = Mat.from_ints(GF7, [[1, 1], [1, 1]])
     b = Mat.identity(GF7, 2)
-    assert raise_rank(a, b, [0, 5, 3, 1], 2) == (3, a.axpy(3, b), 2)
-    assert raise_rank(a, b, [0, 5, 3], 1) == (0, a, 1)
-    assert raise_rank(a, b, [0, 5], 2) is None
-    assert raise_rank(a, b, range(7), 3) is None
-    scalars = iter([5, 0, 4, 6, 1])
-    assert raise_rank(a, b, scalars, 2)[0] == 4
-    assert list(scalars) == [6, 1]  # consumed up to the first that reaches 2
+    assert raise_rank(a, b, 2) == (1, a.axpy(1, b), 2)
+    assert raise_rank(a, b, 1) == (0, a, 1)
+    assert raise_rank(a, b, 3) is None
+    # det(diag(x, x - 1)) vanishes at the first two elements, 0 and 1, not at the third
+    c = Mat.from_ints(GF7, [[0, 0], [0, 6]])
+    assert raise_rank(c, b, 2) == (2, c.axpy(2, b), 2)
+    # GF(2) has only those two, so none reaches rank 2
+    assert raise_rank(Mat.from_ints(GF2, [[0, 0], [0, 1]]), Mat.identity(GF2, 2), 2) is None
+
+
+def _sum_of_rank_ones(rng, f, elems, n):
+    """A sum of 0..n outer products of random vectors (so of rank <= n)."""
+    a = Mat.zeros(f, n, n)
+    for _ in range(rng.randint(0, n)):
+        u, v = [rng.choice(elems) for _ in range(n)], [rng.choice(elems) for _ in range(n)]
+        a = a.axpy(f.one, Mat(f, [[f.mul(x, y) for y in v] for x in u]))
+    return a
+
+
+@pytest.mark.parametrize("f", [GF2, GF3, GF5, GF7, extension_field(2, 2), RationalField()],
+                         ids=["gf2", "gf3", "gf5", "gf7", "gf4", "q"])
+def test_raise_rank_matches_a_scan_of_the_whole_field(f):
+    """raise_rank's target + 1 elements hold the first of the whole field (Q:
+    of 0..3n+2) that reaches the target, or none does."""
+    rng = random.Random(f.spec.p or 0)
+    card = f.cardinality()
+    elems = list(f.elements()) if card else [f.from_int(c) for c in range(-2, 3)]
+    for n in range(1, 6):
+        scan = list(f.elements()) if card else list(map(f.from_int, range(3 * n + 3)))
+        for _ in range(6):
+            a, b = (_sum_of_rank_ones(rng, f, elems, n) for _ in range(2))
+            for target in range(a.rank(), a.rank() + 3):
+                c = next((c for c in scan if a.axpy(c, b).rank() >= target), None)
+                got = raise_rank(a, b, target)
+                assert got == (None if c is None else (c, a.axpy(c, b), a.axpy(c, b).rank()))
 
 
 def test_rref():

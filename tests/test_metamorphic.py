@@ -1,23 +1,27 @@
 """Metamorphic relations for SMR at sizes no brute-force oracle reaches.
 
 Each relation changes the space but not its maximum rank: the twist Q B R by
-invertible Q and R, the transpose space and a reordering of the generators.
+invertible Q and R, the transpose space, a reordering of the generators, a
+basis mixed by an invertible matrix, and zero rows or zero columns appended.
 The block-diagonal direct sum of two spaces spans every A (+) B, so its
-maximum rank is the sum of theirs.  Every result also passes check_claim.
+maximum rank is the sum of theirs.  Every result's certificate, after a JSON
+round trip, also passes verify.
 """
 
+import json
 import random
 
 import pytest
 
-from symrank import Mat, MatSpace, PrimeField, RationalField, smr
-from symrank.smr import check_claim
-from conftest import GF3, rank_one_space
-from test_hidden import hidden_crown
+from symrank import Mat, MatSpace, PrimeField, RationalField, cli
+from symrank.fields import extension_field
+from conftest import GF2, GF3, rank_one_space
+from test_hidden import hidden_crown, hidden_space
 from test_smr import _nonsingular, crown
 
 GF101 = PrimeField(101)
-FIELDS = [(GF101, (4, 6, 8)), (GF3, (4, 6)), (RationalField(), (3, 4))]
+FIELDS = [(GF101, (4, 6, 8)), (GF3, (4, 6)), (RationalField(), (3, 4)), (GF2, (3, 4)),
+          (extension_field(2, 2), (3, 4))]
 
 
 def twisted_crown(rng, f, k):
@@ -46,6 +50,14 @@ def permute(rng, sp):
     return MatSpace.from_spanning(gens, sp.field, sp.nrows, sp.ncols)
 
 
+def zero_padded(sp, rows, cols):
+    """sp's generators with `rows` zero rows and `cols` zero columns appended."""
+    f, nrows, ncols = sp.field, sp.nrows + rows, sp.ncols + cols
+    return MatSpace.from_spanning(
+        [Mat(f, [list(r) + [f.zero] * cols for r in g.rows] + [[f.zero] * ncols] * rows)
+         for g in sp.gens], f, nrows, ncols)
+
+
 def direct_sum(a, b):
     """The block-diagonal space: a's generators top left, b's bottom right."""
     f, nrows, ncols = a.field, a.nrows + b.nrows, a.ncols + b.ncols
@@ -61,9 +73,9 @@ def direct_sum(a, b):
 
 
 def max_rank(sp):
-    res = smr(sp)
-    assert check_claim(sp, res)
-    return res.rank
+    cert = json.loads(json.dumps(cli.smr_certificate(sp)))
+    assert cli.verify_certificate(sp, cert)
+    return cert["rank"]
 
 
 @pytest.mark.parametrize("family, f, k", CASES,
@@ -78,4 +90,7 @@ def test_relations_keep_the_maximum_rank(family, f, k):
     assert max_rank(twist(rng, sp)) == rank
     assert max_rank(sp.transpose_space()) == rank
     assert max_rank(permute(rng, sp)) == rank
+    assert max_rank(hidden_space(rng, sp)) == rank
+    assert max_rank(zero_padded(sp, 2, 0)) == rank
+    assert max_rank(zero_padded(sp, 0, 3)) == rank
     assert max_rank(direct_sum(sp, twisted_crown(rng, f, 2))) == rank + 4
