@@ -68,10 +68,10 @@ def _tri(mats: list[Mat], n: int, field, skip: Optional[int] = None) -> TriOutco
     else:
         # quotient maps F^n -> F^n/U*: their kernels are U* and B(U*)
         perp = trace.limit_orthogonal
-        q = bu.orthogonal().basis_matrix()
-        # b at perp's pivot columns is b times a right inverse of perp's RREF basis
-        induced = [q.matmul(Mat(field, [[r[c] for c in perp.pivots] for r in b.rows]))
-                   for b in mats]
+        # row r of q B_k is B_k^T r, for every k at once on the transpose space;
+        # q B_k at perp's pivot columns is q B_k times a right inverse of perp's RREF
+        qb = list(map(span.transpose_space().apply_each, bu.orthogonal().basis))
+        induced = [Mat(field, [[x[k][c] for c in perp.pivots] for x in qb]) for k in range(m)]
         sub = _tri(induced, n - u_star.dim, field, j)
 
         if sub.kind != "nonsingular":

@@ -7,6 +7,7 @@ column vectors, so a space of n x n' matrices maps F^n' into F^n.
 from __future__ import annotations
 
 from itertools import compress, count, repeat
+from operator import mul
 
 from .errors import DimMismatch, IdentityMissing, NotSquare
 from .fields import Field
@@ -16,7 +17,7 @@ from .linalg import Mat, Subspace, _eliminate, _rref_rows, kernel, solve
 class MatSpace:
     """Linear span of matrices, stored as a linearly independent basis."""
 
-    __slots__ = ("field", "nrows", "ncols", "gens", "_echelon", "_factors", "_t")
+    __slots__ = ("field", "nrows", "ncols", "gens", "_echelon", "_factors", "_t", "_dense")
 
     def __init__(self, field: Field, nrows: int, ncols: int, gens, factors=None):
         self.field = field
@@ -30,6 +31,7 @@ class MatSpace:
         self._echelon = None  # (basis, pivots) of the flattened gens, built on demand
         self._factors = factors  # rank-one factors, found on demand if None
         self._t = None  # the transpose space, built on demand
+        self._dense = None  # (dense generators, their packed columns or False), on demand
 
     @staticmethod
     def from_spanning(mats: list[Mat], field: Field | None = None,
@@ -109,12 +111,16 @@ class MatSpace:
         return self._factors
 
     def times(self, a: Mat) -> "MatSpace":
-        """The space of the B a: a rank-one B = x y^T gives x (a^T y)^T, factors kept."""
+        """The space of the B a: a rank-one B = x y^T gives x (a^T y)^T, factors kept;
+        column c of the dense B a is B times a's column c (_dense_products)."""
         f, at = self.field, a.transpose()
         factors = [xy and (xy[0], at.apply(xy[1])) for xy in self.factors]
+        cols = [self._dense_products(c) for c in at.rows] if not all(factors) else []
+        dense = (Mat(f, [c[k] for c in cols], self.nrows).transpose()  # cols[c][k] = B_k a e_c
+                 for k in count())
         return MatSpace(f, self.nrows, a.ncols, [
-            b.matmul(a) if xy is None else Mat(f, [f.scale_row(c, xy[1]) for c in xy[0]], a.ncols)
-            for b, xy in zip(self.gens, factors)], factors)
+            next(dense) if xy is None else Mat(f, [f.scale_row(c, xy[1]) for c in xy[0]], a.ncols)
+            for xy in factors], factors)
 
     def transpose_space(self) -> "MatSpace":
         if self._t is None:
@@ -125,15 +131,40 @@ class MatSpace:
 
     # -- actions on subspaces ----------------------------------------------
 
+    def _dense_products(self, v) -> list:
+        """[B v for the dense B, those without rank-one factors, in basis order].
+
+        Over GF(p), when their m n_rows stacked rows pack as n_cols columns
+        (PrimeField.packs), column j of the stack is packed once per space, and
+        every B v is the one sum sum_j v_j col_j, each slot a sum of n_cols
+        products, reduced and unpacked once; else one Mat.apply per B."""
+        f, n = self.field, self.nrows
+        if self._dense is None:
+            dense = [g for g, xy in zip(self.gens, self.factors) if xy is None]
+            packs = f.packs(len(dense) * n, self.ncols, terms=self.ncols)
+            self._dense = dense, packs and [f.pack(col) for col in
+                                            zip(*(r for g in dense for r in g.rows))]
+        dense, cols = self._dense
+        if not cols:
+            return [g.apply(v) for g in dense]
+        if len(v) != self.ncols:  # as Mat.apply refuses it
+            raise DimMismatch(f"{self.ncols} vs {len(v)}")
+        slots = len(dense) * n
+        x = f.reduce(sum(map(mul, map(f.from_int, v), cols)), slots, self.ncols)
+        out = f.unpack(x, slots)
+        return [out[i:i + n] for i in range(0, slots, n)]
+
     def apply_each(self, v) -> list:
-        """[B v for B in the basis]; a rank-one B = x y^T gives (y.v) x."""
-        f = self.field
-        return [g.apply(v) if xy is None else f.scale_row(f.dot(xy[1], v), xy[0])
-                for g, xy in zip(self.gens, self.factors)]
+        """[B v for B in the basis]: a rank-one B = x y^T gives (y.v) x, the dense
+        B come from _dense_products."""
+        f, dense = self.field, iter(self._dense_products(v) if not all(self.factors) else ())
+        return [next(dense) if xy is None else f.scale_row(f.dot(xy[1], v), xy[0])
+                for xy in self.factors]
 
     def image_of(self, u: Subspace, base: Subspace | None = None) -> Subspace:
         """Span of B(u) over the generators B and basis vectors u, merged into
-        base's echelon when given; a rank-one B = x y^T gives x iff y.u != 0.
+        base's echelon when given; a rank-one B = x y^T gives x iff y.u != 0,
+        the dense B give B v, per v in u's basis, from _dense_products.
         A zero u maps to zero (or base) before the factors are read."""
         self.field.check(u.field)
         if u.ambient_dim != self.ncols:
@@ -142,10 +173,10 @@ class MatSpace:
         f, n, vecs = self.field, self.nrows, []
         if not u.basis:
             return Subspace.zero(f, n) if base is None else base
-        for g, xy in zip(self.gens, self.factors):
-            if xy is None:
-                vecs += [g.apply(v) for v in u.basis]
-            elif any(map(f.nonzero, map(f.dot, repeat(xy[1]), u.basis))):
+        if not all(self.factors):
+            vecs = [w for v in u.basis for w in self._dense_products(v)]
+        for xy in self.factors:
+            if xy and any(map(f.nonzero, map(f.dot, repeat(xy[1]), u.basis))):
                 vecs.append(xy[0])
         if base is None:
             return Subspace(f, n, vecs)

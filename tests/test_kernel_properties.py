@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from symrank import (Mat, MatSpace, PrimeField, RationalField, Subspace,
                      first_wong, image, kernel, pseudo_inverse, rref, second_wong)
+from symrank.errors import DimMismatch
 from symrank.fields import (PACK_MIN, PACK_MIN_ROWS, ExtensionField, Field, _find_irreducible,
                             _is_prime, ratio)
 from symrank.linalg import _eliminate, _rref_rows
@@ -295,7 +296,7 @@ PACKED_IDS = ["gf2", "gf7", "gf101", "gf65537", "gf2^61-1"]
 class ListRows(PrimeField):
     """GF(p) on list rows only: the kernels the packed rows must agree with."""
 
-    def packs(self, n, rows):
+    def packs(self, n, rows, terms=None):
         return False
 
 
@@ -393,6 +394,19 @@ def test_in_int_reduction_at_its_bound(n, p, data):
     assert f.unpack(f.reduce(x, n), n) == [a % p for a in slots]
 
 
+@pytest.mark.parametrize("p", [101, 65537, 1000003])
+def test_in_int_reduction_with_more_terms_than_slots(p):
+    # 12 slots, each a sum of 60 products of reduced entries, as in a product over
+    # 60 inner indices: near 60 p^2, past the 12 p^2 that 12 slots alone would
+    # bound.  Every multiplier and 59 rows are p - 1, and the last row makes slot j
+    # -(1 + j) mod p: residues near p, where a quotient estimate one too high shows
+    f = PrimeField(p)
+    rows = [[p - 1] * 12 for _ in range(59)]
+    rows.append([(1 + j - sum(r[j] for r in rows)) % p for j in range(12)])
+    x = sum((p - 1) * f.pack(r) for r in rows)
+    assert f.unpack(f.reduce(x, 12, 60), 12) == [-(1 + j) % p for j in range(12)]
+
+
 @pytest.mark.parametrize("n, p", AT_BOUND)
 def test_packed_elimination_at_its_bound(n, p):
     # the echelon rows e_k + (p - 1)(e_(k+1) + ... + e_(n-1)), every entry
@@ -432,21 +446,87 @@ def test_image_and_preimage_on_raw_entries(f, data):
         assert sp.preimage_of(w) == lsp.transpose_space().image_of(w.orthogonal()).orthogonal()
 
 
-def test_image_of_never_packs(monkeypatch):
-    # 3 dense 6 x 6 generators times dim u from 2 to 6: 6 to 18 products of
-    # 6-entry rows, too short for the elimination to pack
-    def refuse(self, row, reduced=False):
-        raise AssertionError("image_of packed its products")
+# Dense generators act through one packed product per vector (MatSpace._dense_products)
+# when their m n_rows stacked rows pack as n_cols columns; each slot then sums n_cols
+# products.  Square spaces (slots above the terms, and a rank-one generator among the
+# dense ones) and a wide one (3 x 5 x 40: 15 slots, 40 terms), over primes from GF(2),
+# which packs from 21 terms, to the largest with terms p^2 <= 2^64.
+DENSE_SHAPES = [(3, 24, 24), (3, 5, 40)]
+DENSE_CASES = [(p, shape) for shape in DENSE_SHAPES
+               for p in (2, 3, 101, 65537, largest_packing_prime(shape[2]))]
+
+
+def _dense_actions(sp, u, a, vs):
+    """Everything that runs through the packed product: image_of, apply_each,
+    times (generators and factors) and apply_each on the transpose space."""
+    d = sp.times(a)
+    return (sp.image_of(u), [sp.apply_each(v) for v in vs], d.gens, d.factors,
+            [sp.transpose_space().apply_each(w) for w in Mat.identity(sp.field, sp.nrows).rows])
+
+
+@pytest.mark.parametrize("p, shape", DENSE_CASES,
+                         ids=[f"gf{p}-{m}x{r}x{c}" for p, (m, r, c) in DENSE_CASES])
+def test_dense_products_agree_with_the_list_path(p, shape, monkeypatch):
+    m, nrows, ncols = shape
+    f, rng = PrimeField(p), random.Random(p * nrows)
+    gens = [Mat(f, [[rng.randrange(-p, 2 * p) for _ in range(ncols)] for _ in range(nrows)])
+            for _ in range(m)]
+    if nrows == ncols:  # a rank-one generator in the middle, applied through its factors
+        x, y = [rng.randrange(1, p) for _ in range(nrows)], [1] * ncols
+        gens.insert(1, Mat(f, [[a * b % p for b in y] for a in x]))
+    u = Subspace(f, ncols, [[rng.randrange(p) for _ in range(ncols)] for _ in range(ncols // 2)])
+    a = Mat(f, [[rng.randrange(p) for _ in range(ncols)] for _ in range(ncols)])
+    vs = u.basis + [[rng.randrange(-p, 2 * p) for _ in range(ncols)] for _ in range(3)]
+    sp = MatSpace(f, nrows, ncols, gens)
+    assert [xy is None for xy in sp.factors] == [nrows != ncols or k != 1
+                                                 for k in range(len(gens))]
+    assert f.packs(m * nrows, ncols, terms=ncols)
+    if p == largest_packing_prime(ncols):  # the next prime's sums could pass 2^64
+        past = PrimeField(next(q for q in itertools.count(p + 1) if _is_prime(q)))
+        assert not past.packs(m * nrows, ncols, terms=ncols)
+    packed = _dense_actions(sp, u, a, vs)
+    assert sp._dense[1]  # the packed columns
+    with pytest.raises(DimMismatch):
+        sp.apply_each(vs[0][1:])
+    monkeypatch.setattr(PrimeField, "packs", lambda self, n, rows, terms=None: False)
+    listed = _dense_actions(MatSpace(f, nrows, ncols, gens), u, a, vs)
+    assert packed == listed
+    assert listed[1] == [[g.apply(v) for g in gens] for v in vs]
+    assert packed[2] == [g.matmul(a) for g in gens]
+
+
+@pytest.mark.parametrize("p", [101, 1000003])
+def test_dense_products_past_the_slot_bound(p):
+    # 3 generators of 5 x 40: 15 slots, each a sum of 40 products near 40 p^2, past
+    # the 15 p^2 the slots alone would bound.  Every entry of v and all but the last
+    # column are p - 1; the last makes row i of generator k sum to 1 + 5k + i, so
+    # the slots are -(1 + 5k + i) mod p, residues near p (see the reduction above)
+    f = PrimeField(p)
+    gens = [Mat(f, [[p - 1] * 39 + [(40 + 5 * k + i) % p] for i in range(5)]) for k in range(3)]
+    sp = MatSpace(f, 5, 40, gens)
+    assert f.packs(15, 40, terms=40) and not any(sp.factors)
+    assert sp.apply_each([p - 1] * 40) == [[-(1 + 5 * k + i) % p for i in range(5)]
+                                            for k in range(3)]
+
+
+def test_dense_products_below_the_gate_never_pack(monkeypatch):
+    # 2 dense 5 x 5 generators: 10 slots, below PACK_MIN, so every action is a
+    # Mat.apply per generator and vector, as in the elimination of short rows
+    def refuse(self, row):
+        raise AssertionError("a dense product packed below the gate")
 
     f, rng = PrimeField(101), random.Random(23)
     monkeypatch.setattr(PrimeField, "pack", refuse)
-    for dim_u in range(2, 7):
-        gens = [Mat(f, [[rng.randrange(101) for _ in range(6)] for _ in range(6)])
-                for _ in range(3)]
-        sp = MatSpace(f, 6, 6, gens)
-        u = Subspace(f, 6, [[rng.randrange(101) for _ in range(6)] for _ in range(dim_u)])
-        assert not any(sp.factors) and sp.dim * u.dim >= 6
-        assert sp.image_of(u) == Subspace(f, 6, [g.apply(v) for g in gens for v in u.basis])
+    for dim_u in range(1, 6):
+        gens = [Mat(f, [[rng.randrange(101) for _ in range(5)] for _ in range(5)])
+                for _ in range(2)]
+        sp = MatSpace(f, 5, 5, gens)
+        u = Subspace(f, 5, [[rng.randrange(101) for _ in range(5)] for _ in range(dim_u)])
+        assert not any(sp.factors)
+        assert sp.image_of(u) == Subspace(f, 5, [g.apply(v) for g in gens for v in u.basis])
+        assert [sp.apply_each(v) for v in u.basis] == [[g.apply(v) for g in gens]
+                                                       for v in u.basis]
+        assert sp.times(gens[0]).gens == [g.matmul(gens[0]) for g in gens]
 
 
 # -- rank-one factors ----------------------------------------------------------

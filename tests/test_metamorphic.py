@@ -36,6 +36,9 @@ def rank_one(rng, f, k):
 FAMILIES = {"crown": twisted_crown, "hidden": hidden_crown, "rank_one": rank_one}
 CASES = [(name, f, k) for name in FAMILIES for f, ks in FIELDS for k in ks
          if name != "rank_one" or f.cardinality() is not None]
+# hidden crowns over GF(65537) from n = 12: dense products and eliminations packed, their
+# slots reduced in two interleaved Barrett classes (fields._barrett)
+CASES += [("hidden", PrimeField(65537), k) for k in (6, 8)]
 
 
 def twist(rng, sp):
