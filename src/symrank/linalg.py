@@ -338,13 +338,17 @@ def kernel(m: Mat) -> Subspace:
     """Null space of m, a subspace of F^cols, from one elimination.
 
     m is reduced with its columns reversed, so each echelon row r, read back
-    in the original order, ends at its pivot p.  The null vector of each free
-    column j, one at j, zero at the other free columns and -r[j] at each p,
-    then leads at j: already the RREF basis.
+    in the original order, ends at its pivot p, and _null_basis's vectors
+    lead at their free columns: already the RREF basis.
     """
     f, n = m.field, m.ncols
     rows, pivots = _rref_rows(f, [r[::-1] for r in m.rows])
-    rows, pivots = [r[::-1] for r in rows], [n - 1 - p for p in pivots]
+    return Subspace(f, n, _null_basis(f, n, [r[::-1] for r in rows], [n - 1 - p for p in pivots]),
+                    _canonical=True)
+
+
+def _null_basis(f: Field, n: int, rows, pivots) -> list:
+    """Null vectors of an RREF: per free column j, 1 at j, -r[j] at each row r's pivot."""
     basis = []
     for j in sorted(set(range(n)).difference(pivots)):
         v = [f.zero] * n
@@ -352,7 +356,7 @@ def kernel(m: Mat) -> Subspace:
         for r, p in zip(rows, pivots):
             v[p] = f.neg(r[j])
         basis.append(v)
-    return Subspace(f, n, basis, _canonical=True)
+    return basis
 
 
 def image(m: Mat) -> Subspace:
@@ -382,20 +386,21 @@ def solve(a: Mat, targets: list) -> list:
     return sols
 
 
-def pseudo_inverse(a: Mat) -> Mat:
-    """Nonsingular A' with a A' a = a, from one RREF of [a | I].
+def _rref_with_transform(a: Mat) -> tuple[list, list, list]:
+    """(R, P, pivots) with P a = R, the RREF of a, P nonsingular and pivots R's
+    pivot columns: one RREF of [a | I].  R is zero below the rank."""
+    n = a.ncols
+    ident = Mat.identity(a.field, a.nrows).rows
+    red, pivots = _rref_rows(a.field, [r + e for r, e in zip(a.rows, ident)])
+    return [r[:n] for r in red], [r[n:] for r in red], [c for c in pivots if c < n]
 
-    The RREF gives P a = R.  Row i of P becomes row c_i of A', c_i the i-th
-    pivot column of R, and the rows of P below the rank fill the free
-    columns in order, so a A' a = sum_i a[:, c_i] R_i = a.
-    """
+
+def pseudo_inverse(a: Mat) -> Mat:
+    """Nonsingular A' with a A' a = a, from P a = R (_rref_with_transform): row i
+    of P becomes row c_i of A', c_i the i-th pivot column of R, and the rows of P
+    below the rank fill the free columns in order, so a A' a = sum_i a[:, c_i] R_i = a."""
     if a.nrows != a.ncols:
         raise NotSquare("pseudo-inverse needs a square matrix (pad first)")
-    n = a.nrows
-    ident = Mat.identity(a.field, n).rows
-    red, pivots = _rref_rows(a.field, [r + e for r, e in zip(a.rows, ident)])
-    order = [c for c in pivots if c < n] + [j for j in range(n) if j not in pivots]
-    out = [None] * n
-    for j, r in zip(order, red):
-        out[j] = r[n:]
-    return Mat(a.field, out)
+    _, p, pivots = _rref_with_transform(a)
+    order = pivots + [j for j in range(a.nrows) if j not in pivots]
+    return Mat(a.field, [r for _, r in sorted(zip(order, p))])

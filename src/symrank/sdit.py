@@ -149,10 +149,10 @@ def is_triangularizable_with_nonsingular(sp: MatSpace, s: Mat) -> bool:
         raise NotMember("pivot matrix is not in the space")
     a_space = MatSpace.from_spanning([b.matmul(s_inv) for b in sp.gens])
     comms = a_space.commutator_space()
-    v = Subspace.full(sp.field, n)
+    v = Mat.identity(sp.field, n).rows  # rows spanning F^n
     for _ in range(n):
-        v = _grow(a_space, comms.image_of(v))[0][-1]
-    return v.dim == 0
+        v = _grow(a_space, comms._image_rows(v))[0]
+    return not v
 
 
 # ---------------------------------------------------------------------------

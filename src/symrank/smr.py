@@ -76,15 +76,17 @@ def greedy_start(sp: MatSpace, limit: int) -> tuple:
     """(coefficients, element, rank) of the sum of the generators, in basis
     order, that each raise the rank when added, stopping at rank `limit`.
     Coefficient 1 suffices: A + xy^T gains rank iff x, y are not in im A, row A,
-    kept as echelons; a dense generator is taken if A + B has more rank, rebuilding them."""
+    kept as echelons; a dense generator is taken if A + B has more rank, rebuilding them.
+    A is built from the coefficients only when a dense generator needs it, and at the end."""
     f = sp.field
     coeffs = [f.zero] * sp.dim
-    a, r = Mat.zeros(f, sp.nrows, sp.ncols), 0
+    a, r, stale = Mat.zeros(f, sp.nrows, sp.ncols), 0, False
     cols = rows = ((), ())  # echelons (basis, pivots) of im A and row A
     for i, (g, xy) in enumerate(zip(sp.gens, sp.factors)):
         if r == limit:
             break
         if xy is None:
+            a, stale = sp.element(coeffs) if stale else a, False
             cand = a.axpy(f.one, g)
             rank = cand.rank()
             if rank > r:
@@ -95,9 +97,9 @@ def greedy_start(sp: MatSpace, limit: int) -> tuple:
         if x_lead is not None:  # x is not in im A
             *more_rows, (y_lead,) = _eliminate(f, [xy[1]], *rows, reduced=False)
             if y_lead is not None:
-                coeffs[i], a, r = f.one, a.axpy(f.one, g), r + 1
+                coeffs[i], r, stale = f.one, r + 1, True
                 cols, rows = more_cols, more_rows
-    return coeffs, a, r
+    return coeffs, sp.element(coeffs) if stale else a, r
 
 
 def smr(sp: MatSpace) -> SmrResult:

@@ -11,7 +11,7 @@ from operator import mul
 
 from .errors import DimMismatch, IdentityMissing, NotSquare
 from .fields import Field
-from .linalg import Mat, Subspace, _eliminate, _rref_rows, kernel, solve
+from .linalg import Mat, Subspace, _eliminate, kernel, solve
 
 
 class MatSpace:
@@ -161,26 +161,25 @@ class MatSpace:
         return [next(dense) if xy is None else f.scale_row(f.dot(xy[1], v), xy[0])
                 for xy in self.factors]
 
-    def image_of(self, u: Subspace, base: Subspace | None = None) -> Subspace:
-        """Span of B(u) over the generators B and basis vectors u, merged into
-        base's echelon when given; a rank-one B = x y^T gives x iff y.u != 0,
-        the dense B give B v, per v in u's basis, from _dense_products.
-        A zero u maps to zero (or base) before the factors are read."""
+    def _image_rows(self, vecs) -> list:
+        """Rows spanning B(span(vecs)): B v per dense B (_dense_products), then x per
+        rank-one B = x y^T with some y.v != 0; no vecs read no factors."""
+        if not vecs:
+            return []
+        f = self.field
+        out = [w for v in vecs for w in self._dense_products(v)] if not all(self.factors) else []
+        for xy in self.factors:
+            if xy and any(map(f.nonzero, map(f.dot, repeat(xy[1]), vecs))):
+                out.append(xy[0])
+        return out
+
+    def image_of(self, u: Subspace) -> Subspace:
+        """Span of B(u) over the generators B: _image_rows of u's basis."""
         self.field.check(u.field)
         if u.ambient_dim != self.ncols:
             raise DimMismatch(f"subspace lives in F^{u.ambient_dim}, "
                               f"matrices act on F^{self.ncols}")
-        f, n, vecs = self.field, self.nrows, []
-        if not u.basis:
-            return Subspace.zero(f, n) if base is None else base
-        if not all(self.factors):
-            vecs = [w for v in u.basis for w in self._dense_products(v)]
-        for xy in self.factors:
-            if xy and any(map(f.nonzero, map(f.dot, repeat(xy[1]), u.basis))):
-                vecs.append(xy[0])
-        if base is None:
-            return Subspace(f, n, vecs)
-        return Subspace(f, n, _rref_rows(f, vecs, base.basis, base.pivots)[0], _canonical=True)
+        return Subspace(self.field, self.nrows, self._image_rows(u.basis))
 
     def preimage_of(self, w: Subspace) -> Subspace:
         """Largest T with B(T) <= w for every generator B.
@@ -256,20 +255,23 @@ def _rank_one(f: Field, g: Mat):
     return [s[p] for s in g.rows], y
 
 
-def _grow(sp: MatSpace, w: Subspace,
-          pull=lambda w: w) -> tuple[list[Subspace], Subspace, Subspace]:
-    """The terms of W_(i+1) = W_i + sp(pull(W_i)) from W_0 = w, up to the first
-    that does not grow, pull of the last and pull(W_0). pull is monotone, so the
-    Y_i = pull(W_i) and their RREF pivot sets grow: the rows of Y_i's RREF at
-    pivots Y_(i-1) lacks complete Y_(i-1) to Y_i, and only they are mapped."""
-    terms, old = [w], ()
-    y = first = pull(w)
-    while w.dim < w.ambient_dim:  # a full W cannot grow
-        new = [r for r, p in zip(y.basis, y.pivots) if p not in old]
-        w = sp.image_of(Subspace(w.field, y.ambient_dim, new, _canonical=True), w) if new else w
-        if w.dim == terms[-1].dim:
-            return terms, y, first
-        terms.append(w)
-        old = set(y.pivots)
-        y = pull(w)
-    return terms, y, first
+def _grow(sp: MatSpace, rows, pull=lambda new: new) -> tuple[list, list[int], list]:
+    """W_(i+1) = W_i + sp(Y_i) from W_0 = span(rows) up to the first term that does not
+    grow or is full: (echelon, dims, pulled), term i spanned by echelon[:dims[i]],
+    pulled spanning Y*.  W is one non-reduced echelon, in _eliminate's native form
+    until it is returned, that only gains rows.  pull is the delta map of a monotone
+    Y_i = pull(W_i): the rows W_i adds give those Y_i adds, and only they are mapped."""
+    f, n = sp.field, sp.nrows
+    basis, pivots, dims, pulled = (), (), [], []
+    while True:
+        basis, pivots, leads = _eliminate(f, rows, basis, pivots, reduced=False, native=True)
+        new = [r for r, lead in zip(rows, leads) if lead is not None]
+        if dims and not new:
+            break
+        dims.append(len(pivots))
+        y = pull(new)
+        pulled += y
+        if len(pivots) == n:  # a full W cannot grow
+            break
+        rows = sp._image_rows(y)
+    return [x if type(x) is list else f.unpack(x, n) for x in basis], dims, pulled

@@ -12,8 +12,8 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from symrank import (Mat, MatSpace, PrimeField, RationalField, Subspace,
-                     first_wong, image, kernel, pseudo_inverse, rref, second_wong)
+from symrank import (Mat, MatSpace, PrimeField, RationalField, Subspace, first_wong, image,
+                     kernel, pseudo_inverse, rref, second_wong, witness_test)
 from symrank.errors import DimMismatch
 from symrank.fields import (PACK_MIN, PACK_MIN_ROWS, ExtensionField, Field, _find_irreducible,
                             _is_prime, ratio)
@@ -227,11 +227,90 @@ def test_second_wong_matches_every_step_mapped(data):
     a_sp = MatSpace.of(a)
     reference = run_to_fixpoint(lambda w: sp.image_of(a_sp.preimage_of(w)),
                                 Subspace.zero(f, nrows))
-    terms, pulled, ker = _second_wong(a, sp)
-    assert terms == reference == second_wong(a, sp).terms
-    assert pulled == a_sp.preimage_of(reference[-1])
-    assert ker == kernel(a)
-    assert not to_full or terms[-1].dim == nrows
+    trace, pulled, k = _second_wong(a, sp)
+    assert trace.terms == reference == second_wong(a, sp).terms
+    assert Subspace(f, ncols, pulled) == a_sp.preimage_of(reference[-1])
+    assert k == kernel(a).dim and Subspace(f, ncols, pulled[:k]) == kernel(a)
+    assert not to_full or trace.limit.dim == nrows
+
+
+def _check_every_step(a, sp):
+    """first_wong, second_wong, _second_wong's pull and, for a square a in sp,
+    witness_test's witness against the Wong sequences mapped step by step:
+    (second-Wong length, first-Wong length, a witness after a nonzero limit)."""
+    f, a_sp = sp.field, MatSpace.of(a)
+    first = run_to_fixpoint(lambda u: sp.preimage_of(a_sp.image_of(u)), Subspace.full(f, sp.ncols))
+    trace = first_wong(a, sp)
+    assert trace.terms == first and trace.limit == first[-1]
+    assert trace.limit_orthogonal == first[-1].orthogonal()
+    second = run_to_fixpoint(lambda w: sp.image_of(a_sp.preimage_of(w)), Subspace.zero(f, sp.nrows))
+    trace, pulled, k = _second_wong(a, sp)
+    assert trace.terms == second == second_wong(a, sp).terms and trace.limit == second[-1]
+    assert Subspace(f, sp.ncols, pulled) == a_sp.preimage_of(second[-1])
+    assert Subspace(f, sp.ncols, pulled[:k]) == kernel(a)
+    exists = False
+    if a.nrows == a.ncols:
+        report, exists = witness_test(a, sp), image(a).contains(second[-1])
+        assert report.exists == exists
+        if exists:
+            assert (report.witness, report.c) == (a_sp.preimage_of(second[-1]), k)
+    return len(second), len(first), exists and len(second) > 1
+
+
+def _draw(rng, f):
+    if f.cardinality() is None:
+        return lambda: rng.randint(-3, 3)
+    elems = list(f.elements()) if f.cardinality() < 1000 else None
+    return (lambda: rng.choice(elems)) if elems else (lambda: rng.randrange(f.p))
+
+
+def _full_rank(rng, f, nrows, ncols):
+    draw = _draw(rng, f)
+    while True:
+        m = Mat(f, [[draw() for _ in range(ncols)] for _ in range(nrows)])
+        if m.rank() == min(nrows, ncols):
+            return m
+
+
+def _low_rank(rng, f, nrows, ncols, rank):
+    return _full_rank(rng, f, nrows, rank).matmul(_full_rank(rng, f, rank, ncols))
+
+
+def _twisted_triangular(rng, f, n, nrows, ncols, dead):
+    """As test_sdit._triangular_spaces: 2-4 upper triangular n x n generators T,
+    each diagonal entry zero 30% of the time and entry `dead` (if not None)
+    always, as Q T P for Q nrows x n and P n x ncols of full rank."""
+    draw = _draw(rng, f)
+    tris = [Mat(f, [[f.zero if i > j or i == j and (i == dead or rng.random() < 0.3) else draw()
+                     for j in range(n)] for i in range(n)]) for _ in range(rng.randint(2, 4))]
+    q, p = _full_rank(rng, f, nrows, n), _full_rank(rng, f, n, ncols)
+    return [q.matmul(t).matmul(p) for t in tris]
+
+
+@pytest.mark.parametrize("f, sizes", [
+    (PrimeField(101), (10, 16, 24)), (PrimeField(65537), (10, 16, 24)),
+    (RationalField(), (6, 7, 8)), (ExtensionField(2, 2, _find_irreducible(2, 2)), (6, 7, 8))],
+    ids=["gf101", "gf65537", "q", "gf4"])
+def test_wong_sequences_match_every_step_beyond_small_n(f, sizes):
+    # beyond hypothesis's n <= 4: the products and eliminations pack at n >= 12
+    # over GF(p).  Square anchors: a generator (mostly singular), one of rank
+    # n // 2, a random combination and zero; with a diagonal entry dead in every
+    # generator, every member is singular and the combination has a witness.
+    # Then rectangular spaces, n x (n + 2) and (n + 2) x n, anchored at a generator
+    rng, checks = random.Random(sum(sizes) + (f.cardinality() or 0)), []
+    draw = _draw(rng, f)
+    for n in sizes:
+        for dead in (None, rng.randrange(n)):
+            gens = _twisted_triangular(rng, f, n, n, n, dead)
+            gens += [] if dead is not None else [_low_rank(rng, f, n, n, n // 2)]
+            sp = MatSpace(f, n, n, gens)
+            for a in (gens[0], gens[-1], sp.element([draw() for _ in gens]), Mat.zeros(f, n, n)):
+                checks.append(_check_every_step(a, sp))
+        for nrows, ncols in ((n, n + 2), (n + 2, n)):
+            gens = _twisted_triangular(rng, f, n, nrows, ncols, None)
+            checks.append(_check_every_step(gens[0], MatSpace(f, nrows, ncols, gens)))
+    assert max(max(s, t) for s, t, _ in checks) >= 4  # some sequences run several terms
+    assert sum(w for _, _, w in checks) >= len(sizes)
 
 
 @PROPERTY
@@ -582,8 +661,6 @@ def test_factored_image_and_preimage(f, data):
             image = Subspace(f, space.nrows, [g.apply(v) for g in mats for v in u.basis])
             assert space.image_of(u) == image
             assert all(space.apply_each(v) == [g.apply(v) for g in mats] for v in u.basis)
-            base = _subspaces(data.draw, f, space.nrows)
-            assert space.image_of(u, base) == image.sum(base)
             w = _subspaces(data.draw, f, space.nrows)
             perp = w.orthogonal().basis
             assert space.preimage_of(w) == Subspace(

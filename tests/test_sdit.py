@@ -252,19 +252,22 @@ def test_tri_algo_stops_at_a_nonsingular_first_generator(monkeypatch):
     assert out.kind == "nonsingular" and len(calls) == 1
 
 
+def triangular_space(rng, n):
+    """A GF(101) space of 2-4 upper triangular n x n generators, each diagonal
+    entry zero 30% of the time, conjugated by random nonsingular matrices."""
+    gens = [Mat.from_ints(GF101, [[0 if i > j or i == j and rng.random() < 0.3
+                                   else rng.randrange(101) for j in range(n)]
+                                  for i in range(n)])
+            for _ in range(rng.randint(2, 4))]
+    q, p = rand_nonsingular(rng, GF101, n), rand_nonsingular(rng, GF101, n)
+    return MatSpace(GF101, n, n, [q.matmul(b).matmul(p) for b in gens])
+
+
 def _triangular_spaces(seed, count):
-    """Seeded GF(101) spaces of 2-4 upper triangular generators, n = 6-10, with
-    each diagonal entry zero 30% of the time, conjugated by random nonsingular
-    matrices: most recurse, some several levels deep."""
+    """Seeded triangular_space's, n = 6-10: most recurse, some several levels deep."""
     rng = random.Random(seed)
     for _ in range(count):
-        n = rng.randint(6, 10)
-        gens = [Mat.from_ints(GF101, [[0 if i > j or i == j and rng.random() < 0.3
-                                       else rng.randrange(101) for j in range(n)]
-                                      for i in range(n)])
-                for _ in range(rng.randint(2, 4))]
-        q, p = rand_nonsingular(rng, GF101, n), rand_nonsingular(rng, GF101, n)
-        yield MatSpace(GF101, n, n, [q.matmul(b).matmul(p) for b in gens])
+        yield triangular_space(rng, rng.randint(6, 10))
 
 
 def _levels(monkeypatch):
@@ -276,6 +279,14 @@ def _levels(monkeypatch):
         return tri(mats, n, field, skip)
     monkeypatch.setattr(sdit, "_tri", recorded)
     return levels
+
+
+def test_deep_recursion_of_the_workflow_space(monkeypatch):
+    # the n = 12 space .github/workflows/tests.yml writes: nine levels, nonsingular
+    levels = _levels(monkeypatch)
+    out = tri_algo(triangular_space(random.Random(1129), 12))
+    assert out.kind == "nonsingular" and [n for _, n, _, _ in levels] == [
+        12, 11, 10, 8, 7, 5, 4, 3, 1]
 
 
 def test_generator_recursed_on_has_zero_limit_below(monkeypatch):
